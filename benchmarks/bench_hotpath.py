@@ -42,7 +42,6 @@ from repro.core.config import MemoryConfig
 from repro.core.metrics import host_profile_report
 from repro.experiments.common import GridCell, measure_grid
 from repro.llm.tokenizer import count_tokens
-from repro.perception import detector
 from repro.workloads.registry import get_workload
 
 #: Interleaved timing rounds per path; min-of-rounds defeats transient
@@ -65,9 +64,16 @@ def _capped(config, capacity_steps: int):
     )
 
 
+def _vector(config):
+    """The workload config with the vector detector pinned (see ``_timed``)."""
+    return replace(
+        config, optimizations=replace(config.optimizations, detector_mode="vector")
+    )
+
+
 def _grid() -> list[GridCell]:
     """Smoke grid spanning the paradigm mix at hot-path-stressing scale."""
-    return [
+    cells = [
         # Single-agent modular pipeline, large retention window.
         GridCell(config=_capped(get_workload("jarvis-1").config, 90), difficulty="hard"),
         # Centralized joint planning at team scale.
@@ -83,6 +89,7 @@ def _grid() -> list[GridCell]:
         # Combined-optimizations system (dual memory, comm filter).
         GridCell(config=get_workload("combo").config, difficulty="hard", n_agents=4),
     ]
+    return [replace(cell, config=_vector(cell.config)) for cell in cells]
 
 
 def _timed(grid, settings, fast: bool) -> tuple[list, float]:
@@ -96,20 +103,16 @@ def _timed(grid, settings, fast: bool) -> tuple[list, float]:
     small shared piece vocabulary, which is exactly its design advantage.
     """
     count_tokens.cache_clear()
-    # Both passes run the vector detector and the coarse clock: both are
-    # shared infrastructure, not part of the reference/optimized seam,
-    # and pinning ONE mode for the whole comparison keeps the
-    # byte-identity contract intact (aggregates are compared within the
-    # mode; coarse totals are byte-identical by construction and the
-    # bench consumes only finalized aggregates).  Using the faster modes
-    # for both passes shrinks the shared constant term, which is the
-    # honest way to sharpen the measured planning-layer ratio
-    # (docs/performance.md, phase 4).
-    with (
-        detector.override_mode("vector"),
-        clock.override_coarse(True),
-        hotpath.override(fast),
-    ):
+    # Both passes run the vector detector (pinned on every grid config)
+    # and the coarse clock: both are shared infrastructure, not part of
+    # the reference/optimized seam, and pinning ONE mode for the whole
+    # comparison keeps the byte-identity contract intact (aggregates are
+    # compared within the mode; coarse totals are byte-identical by
+    # construction and the bench consumes only finalized aggregates).
+    # Using the faster modes for both passes shrinks the shared constant
+    # term, which is the honest way to sharpen the measured
+    # planning-layer ratio (docs/performance.md, phase 4).
+    with clock.override_coarse(True), hotpath.override(fast):
         started = time.perf_counter()
         results = measure_grid(grid, settings)
         return results, time.perf_counter() - started

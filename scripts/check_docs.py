@@ -12,9 +12,12 @@ Four offline checks:
    ``src/`` or ``benchmarks/`` must be documented in
    ``docs/performance.md`` (the acceptance bar: docs cover every knob
    that exists in the source), and every *serving-layer* knob
-   (``REPRO_SERVE*``, ``REPRO_OVERLAP``, ``REPRO_HTTP_*``) must also
-   appear in ``docs/serving.md`` — the serving guide may not drift
-   behind the scheduler and HTTP backend it documents.
+   (``REPRO_SERVE*``, ``REPRO_OVERLAP``) must also appear in
+   ``docs/serving.md`` — the serving guide may not drift behind the
+   scheduler it documents.  The reverse holds too: every knob with a
+   row in the ``docs/performance.md`` table must still be referenced
+   in ``src/`` or ``benchmarks/``, so a deleted knob cannot leave a
+   stale row behind.
 3. **Module doctests** — ``doctest.testmod`` over every ``src/repro``
    module whose source contains a ``>>>`` prompt, so examples in
    docstrings cannot rot silently.
@@ -41,11 +44,13 @@ SERVING_DOC = REPO / "docs" / "serving.md"
 
 #: Knob prefixes the serving guide must cover in addition to the master
 #: table in performance.md.
-SERVING_KNOB_PREFIXES = ("REPRO_SERVE", "REPRO_HTTP", "REPRO_OVERLAP")
+SERVING_KNOB_PREFIXES = ("REPRO_SERVE", "REPRO_OVERLAP")
 
 LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 HEADING = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
 KNOB = re.compile(r"\bREPRO_[A-Z_]+\b")
+#: A row of the knob table in performance.md: ``| `REPRO_X` | ...``.
+KNOB_ROW = re.compile(r"^\| `(REPRO_[A-Z_]+)` \|", re.MULTILINE)
 
 
 def _anchor(heading: str) -> str:
@@ -90,10 +95,15 @@ def check_knob_coverage() -> list[str]:
         for path in root.rglob("*.py"):
             in_source.update(KNOB.findall(path.read_text()))
     problems = []
-    documented = set(KNOB.findall(KNOB_DOC.read_text()))
+    knob_doc = KNOB_DOC.read_text()
+    documented = set(KNOB.findall(knob_doc))
     problems.extend(
         f"docs/performance.md: undocumented knob {knob} (referenced in source)"
         for knob in sorted(in_source - documented)
+    )
+    problems.extend(
+        f"docs/performance.md: stale row for {knob} (not referenced in source)"
+        for knob in sorted(set(KNOB_ROW.findall(knob_doc)) - in_source)
     )
     serving_knobs = {
         knob for knob in in_source if knob.startswith(SERVING_KNOB_PREFIXES)
@@ -163,7 +173,8 @@ def main() -> int:
     n_links = sum(len(LINK.findall(doc.read_text())) for doc in DOC_FILES)
     print(
         f"docs-check ok: {len(DOC_FILES)} files, {n_links} links, "
-        "all source knobs documented (serving guide covered), "
+        "all source knobs documented and no stale table rows "
+        "(serving guide covered), "
         "module and markdown doctests green"
     )
     return 0

@@ -5,14 +5,15 @@ helpers so the tolerances are uniform: values are whitespace-stripped,
 empty/unset always means "use the default", and malformed values raise a
 ``ValueError`` naming the variable instead of being silently coerced.
 
-Adopters: ``REPRO_TRIALS`` / ``REPRO_WORKERS`` / ``REPRO_SERVE_CAP`` /
-``REPRO_HTTP_RETRIES`` (:func:`int_knob`, via ``experiments/common.py``
-and the serving layer), ``REPRO_HOTPATH`` / ``REPRO_SUITE_CONCURRENT`` /
-``REPRO_OVERLAP`` (:func:`bool_knob`), ``REPRO_CLOCK`` / ``REPRO_SERVE``
-/ ``REPRO_DETECTOR`` (:func:`choice_knob`), ``REPRO_HTTP_TIMEOUT`` / ``REPRO_HTTP_BACKOFF`` /
-``REPRO_HTTP_FAULT_RATE`` (:func:`float_knob`).  The knob table with
-defaults and precedence rules lives in docs/performance.md and the
-serving-specific knobs in docs/serving.md.
+Adopters: ``REPRO_TRIALS`` / ``REPRO_WORKERS`` / ``REPRO_SERVE_CAP``
+(:func:`int_knob`, via ``experiments/common.py`` and the serving layer),
+``REPRO_HOTPATH`` / ``REPRO_SUITE_CONCURRENT`` / ``REPRO_OVERLAP``
+(:func:`bool_knob`), ``REPRO_CLOCK`` / ``REPRO_SERVE`` /
+``REPRO_DETECTOR`` (:func:`choice_knob`), ``REPRO_LEASE_SECONDS`` /
+``REPRO_FLUSH_SECONDS`` / ``REPRO_FLEET_POLL`` (:func:`float_knob`, via
+the fleet layer).  The knob table with defaults and precedence rules
+lives in docs/performance.md and the serving-specific knobs in
+docs/serving.md.
 """
 
 from __future__ import annotations

@@ -107,15 +107,18 @@ except ImportError:  # pragma: no cover - windows fallback: no inter-process loc
     fcntl = None  # type: ignore[assignment]
 
 #: ``REPRO_*`` knobs that shape *execution* (parallelism, sharding, the
-#: budget, ledger I/O tuning, diagnostics) without affecting what any
-#: single episode computes.  Everything else ``REPRO_``-prefixed in the
-#: environment is part of the content fingerprint.
+#: budget, ledger I/O tuning, diagnostics, span recording) without
+#: affecting what any single episode computes.  Everything else
+#: ``REPRO_``-prefixed in the environment is part of the content
+#: fingerprint.  ``REPRO_CLOCK`` is here because span and coarse mode
+#: yield pickle-identical episode results (pinned by a fleet test).
 EXECUTION_KNOBS = frozenset(
     {
         "REPRO_WORKERS",
         "REPRO_TRIALS",
         "REPRO_SUITE_CONCURRENT",
         "REPRO_PROFILE",
+        "REPRO_CLOCK",
         "REPRO_LEDGER",
         "REPRO_SHARDS",
         "REPRO_SHARD_ID",

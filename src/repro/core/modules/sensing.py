@@ -15,22 +15,23 @@ the detector itself consumes the identical rng stream either way (see
 vocabulary must not rely on the hot path, which is the documented
 contract of the staging.
 
-Detector mode: the module captures its detector implementation at
+Detector mode: the module resolves its detector implementation at
 construction — an explicit ``detector_mode`` from the system config wins
-over the process-wide ``REPRO_DETECTOR`` knob (``loop`` default /
-``vector`` batched draws; see :mod:`repro.perception.detector` for the
-draw-count contract and byte-identity waiver).
+over the ``REPRO_DETECTOR`` knob (``loop`` default / ``vector`` batched
+draws; see :mod:`repro.perception.detector` for the draw-count contract
+and byte-identity waiver).  These are the only two selectors, and the
+ledger fingerprint covers both.
 """
 
 from __future__ import annotations
 
 from repro.core import hotpath
 from repro.core.clock import ModuleName
+from repro.core.envknobs import choice_knob
 from repro.core.modules.base import ModuleContext
 from repro.core.types import Fact, Observation
 from repro.envs.base import Environment
-from repro.perception import detector
-from repro.perception.detector import detect
+from repro.perception.detector import DETECTOR_MODES, detect
 from repro.perception.models import PerceptionProfile, get_perception
 
 #: Cost of reading simulator-provided symbolic state (no model inference).
@@ -53,9 +54,11 @@ class SensingModule:
         self._fast = hotpath.enabled()
         self._distractors: list[str] | None = None
         # Detector mode is episode-static, like the hotpath flag: an
-        # explicit config value wins, else the process-wide REPRO_DETECTOR
-        # knob captured at construction (toggling mid-episode is inert).
-        self.detector_mode = detector_mode or detector.mode()
+        # explicit config value wins, else the REPRO_DETECTOR knob read
+        # at construction (toggling mid-episode is inert).
+        self.detector_mode = detector_mode or choice_knob(
+            "REPRO_DETECTOR", default="loop", choices=DETECTOR_MODES
+        )
 
     def _distractor_values(self, env: Environment) -> list[str]:
         """Mislabel vocabulary, fetched once per episode on the hot path."""

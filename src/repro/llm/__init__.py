@@ -3,7 +3,6 @@
 from repro.llm.backend import InferenceBackend
 from repro.llm.behavior import BehaviorKernel, DecisionRequest
 from repro.llm.deployment import DeploymentOptions
-from repro.llm.http_backend import HTTPBackend, HTTPBackendError, HTTPOptions
 from repro.llm.profiles import LLMProfile, get_profile, list_profiles
 from repro.llm.prompt import Prompt, PromptBuilder
 from repro.llm.requests import InferenceRequest, InferenceResult
@@ -21,9 +20,6 @@ __all__ = [
     "DecisionRequest",
     "DeploymentOptions",
     "GenerationResult",
-    "HTTPBackend",
-    "HTTPBackendError",
-    "HTTPOptions",
     "InferenceBackend",
     "InferenceRequest",
     "InferenceResult",

@@ -4,15 +4,15 @@ An :class:`InferenceBackend` is one *serving instance* — a model plus
 how it is deployed.  The scheduler (:mod:`repro.llm.scheduler`) is the
 only caller: modules describe their calls as
 :class:`~repro.llm.requests.InferenceRequest` envelopes and never see the
-backend type, so swapping the simulated engine for a real endpoint (an
-HTTP API client, a local llama.cpp server, a recorded-trace replayer)
-is a backend change, not a pipeline change.
+backend type, so swapping the simulated engine for another one (a
+local inference server, a recorded-trace replayer) is a backend change,
+not a pipeline change.
 
 The repo's reference implementation is
 :class:`~repro.llm.simulated.SimulatedLLM`, whose
 :meth:`~repro.llm.simulated.SimulatedLLM.execute` serves all four request
-kinds with calibrated latency and behaviour.  A real backend would
-satisfy the same protocol with genuine network/inference time; the
+kinds with calibrated latency and behaviour.  Another backend would
+satisfy the same protocol with genuine inference time; the
 scheduler's batching logic keys on ``profile`` / ``deployment``, so any
 backend exposing those groups correctly across agents.
 

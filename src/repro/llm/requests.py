@@ -27,12 +27,11 @@ Purposes name what the tokens buy, matching the generation-length table
 (:data:`repro.llm.simulated.OUTPUT_TOKENS`): ``plan``, ``message``,
 ``action_selection``, ``reflection``, ``primitive``, ``world_model``.
 
-The envelope is backend-agnostic on purpose: the same request serves the
-:class:`~repro.llm.simulated.SimulatedLLM` kernel and the OpenAI-
-compatible :class:`~repro.llm.http_backend.HTTPBackend`, and the
-scheduler's continuous mode adds nothing to it — a request's arrival
-time in the engine queue is the clock position at submit, tracked by the
-scheduler, not a field the caller sets.
+The envelope is backend-agnostic on purpose: it carries no
+:class:`~repro.llm.simulated.SimulatedLLM` state, and the scheduler's
+continuous mode adds nothing to it — a request's arrival time in the
+engine queue is the clock position at submit, tracked by the scheduler,
+not a field the caller sets.
 """
 
 from __future__ import annotations

@@ -38,22 +38,20 @@ fact), so under noisy profiles different facts pass recall and its
 aggregates differ from the loop detector's.
 That is a documented byte-identity waiver: ``loop`` stays the default
 and the reference for every golden suite; ``vector`` ships with its own
-re-baselined goldens (see docs/performance.md).  Mode precedence: an
-explicit ``mode=`` argument wins, then the process-local override, then
-``REPRO_DETECTOR``; the ``loop`` mode dispatches through the existing
-hotpath seam exactly as before.
+re-baselined goldens (see docs/performance.md).  The caller picks the
+mode: :class:`~repro.core.modules.sensing.SensingModule` resolves it once
+per episode from the system config or ``REPRO_DETECTOR``, both of which
+the ledger fingerprint sees.  The ``loop`` mode dispatches through the
+existing hotpath seam exactly as before.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from repro.core import hotpath
-from repro.core.envknobs import choice_knob
 from repro.core.types import Fact
 from repro.perception.models import PerceptionProfile
 
@@ -61,43 +59,6 @@ from repro.perception.models import PerceptionProfile
 #: default and golden reference) and ``vector`` (batched draws, same
 #: draw counts, reordered stream — re-baselined goldens).
 DETECTOR_MODES = ("loop", "vector")
-
-
-def _mode_from_env() -> str:
-    return choice_knob("REPRO_DETECTOR", default="loop", choices=DETECTOR_MODES)
-
-
-_mode = _mode_from_env()
-
-
-def mode() -> str:
-    """The detector mode active in this process (``loop`` / ``vector``)."""
-    return _mode
-
-
-def set_mode(value: str) -> None:
-    """Set the process-local detector mode (workers re-read the env var)."""
-    global _mode
-    if value not in DETECTOR_MODES:
-        raise ValueError(f"detector mode must be one of {DETECTOR_MODES}: {value!r}")
-    _mode = value
-
-
-@contextmanager
-def override_mode(value: str) -> Iterator[None]:
-    """Temporarily force a detector mode (tests and benchmarks).
-
-    Process-local, like :func:`repro.core.hotpath.override`: worker
-    processes of a parallel executor initialize from ``REPRO_DETECTOR``
-    instead, so parallel runs that need a non-default mode must export
-    the variable before the pool is created.
-    """
-    previous = _mode
-    set_mode(value)
-    try:
-        yield
-    finally:
-        set_mode(previous)
 
 
 @dataclass(frozen=True)
@@ -115,7 +76,7 @@ def detect(
     profile: PerceptionProfile,
     rng: np.random.Generator,
     distractor_values: list[str] | None = None,
-    mode: str | None = None,
+    mode: str = "loop",
 ) -> DetectionResult:
     """Simulate one perception pass over ``ground_facts``.
 
@@ -123,12 +84,11 @@ def detect(
     (e.g. other locations in the scene); without them mislabeling is
     skipped, since a detector cannot invent values outside its vocabulary.
 
-    ``mode`` pins the detector implementation for this call (``loop`` /
-    ``vector``); ``None`` defers to the process mode (:func:`set_mode`,
-    ``REPRO_DETECTOR``).  The ``vector`` detector wins regardless of the
-    hotpath flag — it is an explicit opt-in with its own goldens.
+    ``mode`` selects the detector implementation (``loop`` /
+    ``vector``).  The ``vector`` detector wins regardless of the hotpath
+    flag — it is an explicit opt-in with its own goldens.
     """
-    if (mode or _mode) == "vector":
+    if mode == "vector":
         return _detect_vector(ground_facts, profile, rng, distractor_values)
     if hotpath.enabled():
         return _detect_fast(ground_facts, profile, rng, distractor_values)

@@ -3,9 +3,11 @@
 import json
 import pickle
 import time
+from dataclasses import replace
 
 import pytest
 
+from repro.core import clock
 from repro.core.errors import BudgetExceededError, TrialExecutionError
 from repro.core.executor import ParallelExecutor, SerialExecutor
 from repro.core.fleet import (
@@ -71,10 +73,47 @@ class TestFingerprints:
     def test_execution_knobs_do_not_invalidate(self, monkeypatch):
         job = synth_jobs(1)[0]
         before = job_fingerprint(job)
-        for knob in ("REPRO_WORKERS", "REPRO_TRIALS", "REPRO_SHARDS", "REPRO_LEDGER"):
+        for knob in (
+            "REPRO_WORKERS",
+            "REPRO_TRIALS",
+            "REPRO_SHARDS",
+            "REPRO_LEDGER",
+            "REPRO_CLOCK",
+        ):
             assert knob in EXECUTION_KNOBS
             monkeypatch.setenv(knob, "9")
         assert job_fingerprint(job) == before
+
+    @pytest.mark.parametrize("system, n_agents", [("jarvis-1", None), ("coela", 3)])
+    def test_clock_mode_leaves_results_pickle_identical(self, system, n_agents):
+        """The premise of ``REPRO_CLOCK`` being an execution knob: span and
+        coarse mode restore each other's ledger records exactly."""
+        config = get_workload(system).config
+        jobs = trial_jobs(config, 1, difficulty="easy", n_agents=n_agents, base_seed=3)
+        with clock.override_coarse(True):
+            coarse = SerialExecutor().run_jobs(jobs)
+        with clock.override_coarse(False):
+            span = SerialExecutor().run_jobs(jobs)
+        assert pickle.dumps(coarse) == pickle.dumps(span)
+
+    def test_detector_mode_selectors_invalidate(self, monkeypatch):
+        """Both ways of selecting the vector detector change the result, so
+        both must change the fingerprint: a ledgered vector run may never
+        restore loop-mode records."""
+        config = get_workload("jarvis-1").config
+        job = trial_jobs(config, 1, difficulty="easy", base_seed=5)[0]
+        vector = replace(
+            config, optimizations=replace(config.optimizations, detector_mode="vector")
+        )
+        pinned = trial_jobs(vector, 1, difficulty="easy", base_seed=5)[0]
+        loop = pickle.dumps(SerialExecutor().run_jobs([job]))
+        assert pickle.dumps(SerialExecutor().run_jobs([pinned])) != loop
+        assert job_fingerprint(pinned) != job_fingerprint(job)
+
+        before = job_fingerprint(job)
+        monkeypatch.setenv("REPRO_DETECTOR", "vector")
+        assert pickle.dumps(SerialExecutor().run_jobs([job])) != loop
+        assert job_fingerprint(job) != before
 
     def test_knob_fingerprint_only_repro_vars(self, monkeypatch):
         monkeypatch.setenv("REPRO_DETECTOR", "vector")

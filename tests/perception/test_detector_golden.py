@@ -28,7 +28,6 @@ from repro.core import hotpath
 from repro.core.config import MemoryConfig
 from repro.core.metrics import AggregateResult
 from repro.experiments.common import ExperimentSettings, GridCell, measure_grid
-from repro.perception.detector import override_mode
 from repro.workloads.registry import get_workload
 
 GOLDEN_PATH = Path(__file__).parent / "goldens" / "GOLDEN_detector_vector.json"
@@ -36,16 +35,22 @@ GOLDEN_PATH = Path(__file__).parent / "goldens" / "GOLDEN_detector_vector.json"
 SETTINGS = ExperimentSettings(n_trials=2, executor="serial", max_workers=1)
 
 
-def _grid() -> list[GridCell]:
+def _grid(detector_mode: str) -> list[GridCell]:
     """Small noisy-perception grid: mask-rcnn/vild-style profiles with
-    distractor vocabularies, so recall *and* mislabel draws are live."""
+    distractor vocabularies, so recall *and* mislabel draws are live.
+    Every cell pins ``detector_mode`` through its config."""
+
+    def pinned(config):
+        optimizations = replace(config.optimizations, detector_mode=detector_mode)
+        return replace(config, optimizations=optimizations)
+
     jarvis = get_workload("jarvis-1").config
     return [
         GridCell(
-            config=replace(jarvis, memory=MemoryConfig(capacity_steps=30)),
+            config=pinned(replace(jarvis, memory=MemoryConfig(capacity_steps=30))),
             difficulty="hard",
         ),
-        GridCell(config=get_workload("coela").config, n_agents=4),
+        GridCell(config=pinned(get_workload("coela").config), n_agents=4),
     ]
 
 
@@ -77,11 +82,10 @@ def _serialize(aggregates: list[AggregateResult]) -> list[dict]:
 
 
 def test_vector_mode_golden_aggregates():
-    with override_mode("vector"):
-        with hotpath.override(False):
-            reference = measure_grid(_grid(), SETTINGS)
-        with hotpath.override(True):
-            optimized = measure_grid(_grid(), SETTINGS)
+    with hotpath.override(False):
+        reference = measure_grid(_grid("vector"), SETTINGS)
+    with hotpath.override(True):
+        optimized = measure_grid(_grid("vector"), SETTINGS)
     # The hotpath seam is mode-agnostic: within vector mode, optimized
     # and reference aggregates must still match byte for byte.
     assert optimized == reference
@@ -105,9 +109,7 @@ def test_vector_mode_differs_from_loop_under_noise():
     has quietly fallen back to the loop (or the grid lost its noisy
     profiles) and the golden above is no longer testing anything.
     """
-    grid = _grid()
-    with override_mode("loop"), hotpath.override(True):
-        loop = measure_grid(grid, SETTINGS)
-    with override_mode("vector"), hotpath.override(True):
-        vector = measure_grid(grid, SETTINGS)
+    with hotpath.override(True):
+        loop = measure_grid(_grid("loop"), SETTINGS)
+        vector = measure_grid(_grid("vector"), SETTINGS)
     assert loop != vector

@@ -25,8 +25,7 @@ import pytest
 
 from repro.core.config import OptimizationConfig
 from repro.core.types import Fact
-from repro.perception import detector
-from repro.perception.detector import DETECTOR_MODES, detect, override_mode
+from repro.perception.detector import DETECTOR_MODES, detect
 from repro.perception.models import PerceptionProfile, get_perception
 
 
@@ -147,51 +146,46 @@ class TestDrawAccountingRule:
 
 class TestModeKnob:
     def test_default_is_loop(self):
-        assert detector.mode() == "loop"
-
-    def test_set_mode_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            detector.set_mode("simd")
-
-    def test_override_restores_previous(self):
-        assert detector.mode() == "loop"
-        with override_mode("vector"):
-            assert detector.mode() == "vector"
-        assert detector.mode() == "loop"
-
-    def test_explicit_argument_wins_over_process_mode(self):
-        """``mode=`` beats the override; the override beats the default."""
         ground = facts(20)
-        with override_mode("vector"):
-            explicit = detect(
-                ground, NOISY, np.random.default_rng(5), DISTRACTORS, mode="loop"
-            )
+        omitted = detect(ground, NOISY, np.random.default_rng(5), DISTRACTORS)
+        loop = detect(ground, NOISY, np.random.default_rng(5), DISTRACTORS, mode="loop")
+        assert omitted == loop
+
+    def test_knob_rejects_unknown(self, context, monkeypatch):
+        from repro.core.modules.sensing import SensingModule
+
+        monkeypatch.setenv("REPRO_DETECTOR", "simd")
+        with pytest.raises(ValueError, match="REPRO_DETECTOR"):
+            SensingModule(context, model="mask-rcnn")
+
+    def test_explicit_argument_wins_over_process_mode(self, monkeypatch):
+        """``detect`` never reads the environment: the caller's ``mode=``
+        is the only selector, whatever ``REPRO_DETECTOR`` says."""
+        ground = facts(20)
+        monkeypatch.setenv("REPRO_DETECTOR", "vector")
+        explicit = detect(
+            ground, NOISY, np.random.default_rng(5), DISTRACTORS, mode="loop"
+        )
+        monkeypatch.delenv("REPRO_DETECTOR")
         reference = detect(
             ground, NOISY, np.random.default_rng(5), DISTRACTORS, mode="loop"
         )
         assert explicit == reference
 
-    def test_process_mode_applies_when_argument_omitted(self):
-        ground = facts(20)
-        with override_mode("vector"):
-            ambient = detect(ground, NOISY, np.random.default_rng(5), DISTRACTORS)
-        explicit = detect(
-            ground, NOISY, np.random.default_rng(5), DISTRACTORS, mode="vector"
-        )
-        assert ambient == explicit
-
 
 class TestSensingCapture:
-    def test_module_captures_mode_at_construction(self, context):
+    def test_module_captures_mode_at_construction(self, context, monkeypatch):
         """Episode-static capture: the mode is fixed when the module is
-        built, so a mid-episode override cannot change detector behaviour
-        (and with it the rng stream) between frames."""
+        built, so a mid-episode knob change cannot change detector
+        behaviour (and with it the rng stream) between frames."""
         from repro.core.modules.sensing import SensingModule
 
-        with override_mode("vector"):
-            module = SensingModule(context, model="mask-rcnn")
+        monkeypatch.setenv("REPRO_DETECTOR", "vector")
+        module = SensingModule(context, model="mask-rcnn")
+        pinned = SensingModule(context, model="mask-rcnn", detector_mode="loop")
+        monkeypatch.delenv("REPRO_DETECTOR")
         assert module.detector_mode == "vector"
-        assert detector.mode() == "loop"
+        assert pinned.detector_mode == "loop"  # the config pin beats the knob
         explicit = SensingModule(context, model="mask-rcnn", detector_mode="vector")
         assert explicit.detector_mode == "vector"
         default = SensingModule(context, model="mask-rcnn")
