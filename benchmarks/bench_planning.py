@@ -14,9 +14,9 @@ episode-shaped access pattern:
 - **prompt assembly** — per-step observation/memory/dialogue/candidates
   builds over a persistent fact bank, a growing dialogue log, and the
   same recurring candidate tuples, repeated for the dialogue rounds of
-  each step.  The optimized path reuses interned sections, instance
-  token memos, and the incremental dialogue window; the reference path
-  re-renders and re-tokenizes every section.
+  each step.  The optimized path reuses interned sections and instance
+  token memos, and joins memory/dialogue text only on read; the
+  reference path re-renders and re-tokenizes every section.
 
 Both kernels consume the same rng stream and must produce identical
 outcomes on both paths (decisions byte-for-byte, prompt token counts
@@ -216,7 +216,7 @@ def _prompt_pass(fast: bool) -> tuple[list, float]:
                     )
                     .observation(observation)
                     .memory(memory)
-                    .dialogue(log, window_key="agent_0")
+                    .dialogue(log)
                     .candidates(pool)
                     .build()
                 )

@@ -272,7 +272,8 @@ class EmbodiedAgent:
         beliefs for conflict avoidance but do not count toward novelty —
         the paper's usefulness measure is about task-relevant information
         transfer, and intent refreshes are exactly the redundant dialogue
-        it calls out.
+        it calls out.  The hot path splits this work between
+        :meth:`repro.core.bus.DeliveryBus.stage` and its flush.
         """
         novel = bundle.beliefs.update(message.facts)
         bundle.beliefs.update(CommunicationModule.intent_facts(message))
@@ -282,20 +283,6 @@ class EmbodiedAgent:
         else:
             self.state.step_dialogue.append(message)
         return novel
-
-    def stage_message(self, message: Message, bundle: PerceptionBundle) -> None:
-        """Bus-path half of :meth:`receive_message` (repro.core.bus).
-
-        Makes the message visible to this step's later prompts (the
-        dialogue lists) and charges the modeled store latency at the
-        seed's exact clock position, while the belief merge and the
-        memory-index writes wait for the step's batched flush.
-        """
-        bundle.dialogue.append(message)
-        if self.memory is not None:
-            self.memory.stage_message(message)
-        else:
-            self.state.step_dialogue.append(message)
 
     def plan(
         self,

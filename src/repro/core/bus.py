@@ -8,17 +8,25 @@ restructures that fan-out without changing a byte of what is observed:
 
 - **stage** (at compose time) appends the message to each receiver's
   step dialogue — later composes must still see it in their prompts — and
-  charges the modeled ``store_dialogue`` latency at exactly the point on
-  the virtual clock the per-delivery path charged it.  No belief or
-  memory-index work happens yet.
-- **flush** (once per phase, before anything reads beliefs again) gives
-  each receiver *one* batched belief merge over its concatenated delivery
-  stream (:meth:`repro.core.beliefs.Beliefs.update_batch`, in delivery
-  order, so per-message novelty — the paper's usefulness metric — is
-  counted identically) and *one* batched dialogue-memory commit
-  (:meth:`repro.core.modules.memory.MemoryModule.commit_staged_messages`).
-  Message-usefulness counters are then recorded per staged message, in
-  send order.
+  charges the modeled ``store_dialogue`` latency through
+  :meth:`repro.core.modules.memory.MemoryModule.stage_message` at exactly
+  the point on the virtual clock the per-delivery path charged it.  It
+  also memoizes the message's prompt token count once, for every
+  dialogue window that will render it.  No belief or memory-index work
+  happens yet.
+- **flush** (once per phase, before anything reads beliefs again) builds
+  every receiver's inbox in one pass over the staged messages' recipient
+  tuples, then gives each receiver *one* batched belief merge over its
+  concatenated delivery stream
+  (:meth:`repro.core.beliefs.Beliefs.update_batch`, in delivery order, so
+  per-message novelty — the paper's usefulness metric — is counted
+  identically) and *one* batched dialogue-memory commit
+  (:meth:`repro.core.modules.memory.MemoryModule.commit_staged_messages`,
+  a single merge into the receiver's slot table).  Message-usefulness
+  counters are then recorded per staged message, in send order.
+
+Per (message, receiver) pair that leaves what the model needs: one clock
+charge, one belief merge, one memory-index merge.
 
 Safe deferral rests on a property of the step pipeline: between a
 delivery and the end of its phase, the only delivery-derived state anyone
@@ -38,6 +46,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.modules.communication import CommunicationModule
 from repro.core.types import Message
+from repro.llm.prompt import piece_tokens
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.agent import EmbodiedAgent, PerceptionBundle
@@ -48,13 +57,9 @@ class DeliveryBus:
     """Collects one step's message deliveries and applies them in batch."""
 
     def __init__(
-        self,
-        agents: "list[EmbodiedAgent]",
-        agents_by_name: "dict[str, EmbodiedAgent]",
-        metrics: "MetricsCollector",
+        self, agents: "list[EmbodiedAgent]", metrics: "MetricsCollector"
     ) -> None:
-        self._agents = agents
-        self._by_name = agents_by_name
+        self._agents = {agent.name: agent for agent in agents}
         self._metrics = metrics
         self._staged: list[Message] = []
         #: Lifetime (message, receiver) pairs staged — an engagement
@@ -74,48 +79,58 @@ class DeliveryBus:
         Recipient order is the order the per-delivery path iterated
         receivers in (the loops build ``message.recipients`` that way), so
         the per-receiver ``store_dialogue`` charges land on the virtual
-        clock in the seed's exact sequence.
+        clock in the seed's exact sequence.  The message's prompt token
+        count is memoized here, once, for every dialogue window that will
+        render it.
         """
+        piece_tokens(message)
+        agents = self._agents
         for name in message.recipients:
-            self._by_name[name].stage_message(message, bundles[name])
+            bundles[name].dialogue.append(message)
+            agent = agents[name]
+            if agent.memory is not None:
+                agent.memory.stage_message(message)
+            else:
+                agent.state.step_dialogue.append(message)
         self._staged.append(message)
         self.staged_deliveries += len(message.recipients)
 
     def flush(self, bundles: "dict[str, PerceptionBundle]") -> None:
         """Apply every staged delivery: one batched merge per receiver.
 
-        Per receiver, the staged messages addressed to it are merged in
-        delivery order — payload facts then intent facts per message,
-        exactly as ``receive_message`` interleaved them — so each payload
-        sees the same prior belief state as on the per-delivery path and
-        novelty counts agree exactly.  Usefulness is then recorded per
-        message (summed over its receivers) in send order.
+        One pass over the staged messages' recipient tuples builds each
+        receiver's inbox in delivery order — payload facts then intent
+        facts per message, exactly as ``receive_message`` interleaved
+        them — so each payload sees the same prior belief state as on the
+        per-delivery path and novelty counts agree exactly.  Usefulness is
+        then recorded per message (summed over its receivers) in send
+        order.
         """
         staged = self._staged
         if not staged:
             return
         self._staged = []
-        intent_chunks = [CommunicationModule.intent_facts(m) for m in staged]
+        # receiver -> (staged message indices, interleaved fact chunks)
+        inboxes: dict[str, tuple[list[int], list]] = {}
+        for index, message in enumerate(staged):
+            payload = message.facts
+            intent = CommunicationModule.intent_facts(message)
+            for name in message.recipients:
+                inbox = inboxes.get(name)
+                if inbox is None:
+                    inbox = inboxes[name] = ([], [])
+                inbox[0].append(index)
+                inbox[1].extend((payload, intent))
         novel_totals = [0] * len(staged)
-        for agent in self._agents:
-            name = agent.name
-            indices = [
-                index
-                for index, message in enumerate(staged)
-                if name in message.recipients
-            ]
-            if not indices:
-                continue
-            chunks: list = []
-            for index in indices:
-                chunks.append(staged[index].facts)
-                chunks.append(intent_chunks[index])
+        agents = self._agents
+        for name, (indices, chunks) in inboxes.items():
             counts = bundles[name].beliefs.update_batch(chunks)
-            for position, index in enumerate(indices):
-                # Even positions are payload chunks; intent merges (odd
-                # positions) never count toward novelty, as in the seed.
-                novel_totals[index] += counts[2 * position]
-            if agent.memory is not None:
-                agent.memory.commit_staged_messages()
+            # Even positions are payload chunks; intent merges (odd
+            # positions) never count toward novelty, as in the seed.
+            for index, novel in zip(indices, counts[::2]):
+                novel_totals[index] += novel
+            memory = agents[name].memory
+            if memory is not None:
+                memory.commit_staged_messages()
         for novel_total in novel_totals:
             self._metrics.record_message(useful=novel_total > 0)

@@ -79,10 +79,10 @@ class CommunicationModule:
     def _payload_for(self, step: int, known_facts: list[Fact]) -> tuple[Fact, ...] | list[Fact]:
         """The step's sharable payload, staged once per step on the hot path.
 
-        Returns a tuple on the hot path so the rendered prompt section can
-        be reused by identity (:mod:`repro.llm.prompt`); the identity check
-        on ``known_facts`` makes the cache valid only while the caller
-        passes the same per-step snapshot (the dialogue phase hoists it).
+        Returns a tuple on the hot path so every round's message and
+        prompt share the one immutable payload; the identity check on
+        ``known_facts`` makes the cache valid only while the caller passes
+        the same per-step snapshot (the dialogue phase hoists it).
         """
         if not self._fast:
             return self.sharable_facts(known_facts)
@@ -134,7 +134,7 @@ class CommunicationModule:
         prompt = (
             PromptBuilder(COMMUNICATOR_SYSTEM_TEXT)
             .memory(payload)
-            .dialogue(dialogue, window_key=self.context.agent)
+            .dialogue(dialogue)
             .static_extra(
                 "instruction",
                 "Compose a short update for your teammates about what you "

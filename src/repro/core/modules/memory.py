@@ -21,21 +21,24 @@ Hot-path retrieval (:mod:`repro.core.hotpath`): the *modeled* retrieval
 latency is unchanged — it is still ``base + per_entry × scanned`` over the
 same scanned-entry count, so Fig. 5's curves are byte-identical — but the
 *host* cost of producing a retrieval no longer re-scans the whole episode
-history every step.  Observations keep a per-slot history index (newest
-entry per ``(subject, relation)``, insertion-ordered within equal steps)
-and a per-step count table, so newest-wins resolution is O(#slots) and the
-scanned-entry count is O(1) amortized; action and dialogue stores append
-in non-decreasing step order, so their retention windows are bisected, not
-filtered.  Confused retrievals (and any out-of-order access the guards
-detect) fall back to the seed's linear scan, which stays byte-identical by
-construction.
+history every step.  Observations keep one slot table (the newest fact
+per ``(subject, relation)``: highest step, ties to the later insert — the
+same newest-wins rule :class:`~repro.core.beliefs.Beliefs` applies, which
+is also what makes the table's merge count message novelty) plus a sorted
+mirror of its keys and a per-step count table, so newest-wins resolution
+is O(#slots) and the scanned-entry count is O(1) amortized; action and
+dialogue stores append in non-decreasing step order, so their retention
+windows are bisected, not filtered.  Confused retrievals (and any
+out-of-order access the guards detect) fall back to the seed's linear
+scan, which stays byte-identical by construction.
 
 Step-batched deliveries (:mod:`repro.core.bus`): on the bus path a
 message's modeled store latency is charged at :meth:`stage_message` time
 (the seed's clock position) while its dialogue/observation writes wait
 for one :meth:`commit_staged_messages` per step — entry-for-entry the
-state :meth:`store_message` would have produced, minus the per-message
-index churn.  Read paths refuse to serve while deliveries are staged.
+state :meth:`store_message` would have produced, merged into the slot
+table in one pass.  Read paths refuse to serve while deliveries are
+staged.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
-from operator import attrgetter
 
 from repro.core import hotpath
 from repro.core.beliefs import Beliefs
@@ -62,8 +64,6 @@ STORE_SECONDS = 0.006
 CONFUSION_ONSET_STEPS = 40
 CONFUSION_PROB_PER_STEP = 0.035
 CONFUSION_PROB_CAP = 0.5
-
-_FACT_STEP = attrgetter("step")
 
 
 @dataclass(frozen=True)
@@ -113,16 +113,12 @@ class MemoryModule:
         self._observations: list[Fact] = []
         self._actions: list[ActionRecord] = []
         self._dialogue: list[Message] = []
-        # Incremental slot index over _observations, used for O(payload)
-        # novelty checks on message ingestion.
+        #: Newest-wins slot table over _observations: counts message
+        #: novelty on ingestion and, on the fast path, serves resolution.
         self._slot_index = Beliefs()
         # --- hot-path indices (maintained only when the fast path is on) ---
         self._fast = hotpath.enabled()
-        #: Per-slot observation history, each list sorted by fact step with
-        #: ties in insertion order — the last entry is the newest-wins
-        #: resolution candidate for its slot.
-        self._slot_history: dict[tuple[str, str], list[Fact]] = {}
-        #: The history's keys kept in sorted order (maintained by insort
+        #: The slot table's keys kept in sorted order (maintained by insort
         #: on first sight, removal on :meth:`forget`), so newest-wins
         #: resolution emits its sorted output without a per-retrieve sort.
         self._sorted_slot_keys: list[tuple[str, str]] = []
@@ -152,7 +148,8 @@ class MemoryModule:
         self._observations.extend(facts)
         if self._fast:
             self._index_facts(facts)
-        self._slot_index.update(facts)
+        else:
+            self._slot_index.update(facts)
         self._charge(STORE_SECONDS, "store_observation")
 
     def store_action(self, step: int, subgoal: Subgoal, success: bool) -> None:
@@ -165,14 +162,15 @@ class MemoryModule:
 
     def store_message(self, message: Message) -> int:
         """Log a message into dialogue memory; returns #novel payload facts."""
-        novel = self._slot_index.update(message.facts)
         self._dialogue.append(message)
         self._observations.extend(message.facts)
         if self._fast:
             if self._dialogue_steps and message.step < self._dialogue_steps[-1]:
                 self._steps_sorted = False
             self._dialogue_steps.append(message.step)
-            self._index_facts(message.facts)
+            novel = self._index_facts(message.facts)
+        else:
+            novel = self._slot_index.update(message.facts)
         self._charge(STORE_SECONDS, "store_dialogue")
         return novel
 
@@ -199,65 +197,68 @@ class MemoryModule:
 
         Byte-equivalent to having called :meth:`store_message` per staged
         message (minus the latency, which :meth:`stage_message` already
-        charged): the dialogue log, the observation store, and the
-        hot-path indices end up entry-for-entry identical because the
-        staged order is the delivery order.
+        charged): the dialogue log, the observation store, and the slot
+        table end up entry-for-entry identical because the staged order is
+        the delivery order and the concatenated payloads merge exactly as
+        per-message merges would.
         """
         staged = self._staged_messages
         if not staged:
             return
         self._staged_messages = []
-        observations = self._observations
-        dialogue = self._dialogue
-        dialogue_steps = self._dialogue_steps
-        for message in staged:
-            self._slot_index.update(message.facts)
-            dialogue.append(message)
-            observations.extend(message.facts)
-            if self._fast:
-                if dialogue_steps and message.step < dialogue_steps[-1]:
-                    self._steps_sorted = False
-                dialogue_steps.append(message.step)
-                self._index_facts(message.facts)
+        facts = [fact for message in staged for fact in message.facts]
+        self._dialogue.extend(staged)
+        self._observations.extend(facts)
+        if self._fast:
+            dialogue_steps = self._dialogue_steps
+            steps = [message.step for message in staged]
+            # A step descent anywhere (at the commit boundary or inside
+            # it) turns off the bisected retention windows.
+            if (dialogue_steps and steps[0] < dialogue_steps[-1]) or any(
+                map(int.__gt__, steps, steps[1:])
+            ):
+                self._steps_sorted = False
+            dialogue_steps.extend(steps)
+            self._index_facts(facts)
+        else:
+            self._slot_index.update(facts)
 
-    def _index_fact(self, fact: Fact) -> None:
-        """Maintain the slot-history and step-count indices for one fact."""
-        self._index_facts((fact,))
+    def _index_facts(self, facts) -> int:
+        """Merge a batch of facts into the fast-path indices; returns novelty.
 
-    def _index_facts(self, facts) -> None:
-        """Index a batch of facts with the table lookups bound once.
-
-        Fact batches arrive one frame (or one message payload) at a time,
-        so binding the index tables per batch instead of per fact removes
-        most of the attribute traffic of the per-fact form.
+        One loop maintains the newest-wins slot table (the rule and the
+        novelty count of :meth:`Beliefs.update`), the sorted key mirror,
+        and the per-step counts, with every table lookup bound once per
+        batch — a frame, a message payload, or a step's staged payloads.
         """
         step_counts = self._obs_step_counts
         evict_start = self._evict_start
-        history = self._slot_history
-        get = history.get
+        slots = self._slot_index._slots
+        get = slots.get
         sorted_keys = self._sorted_slot_keys
         evicted = 0
+        novel = 0
         for fact in facts:
             step = fact.step
             step_counts[step] += 1
             if step < evict_start:
                 evicted += 1
             key = (fact.subject, fact.relation)
-            entries = get(key)
-            if entries is None:
-                history[key] = [fact]
+            existing = get(key)
+            if existing is None:
+                novel += 1
+                slots[key] = fact
                 insort(sorted_keys, key)
-            elif step >= entries[-1].step:
-                # The common case: first-hand observations arrive in step
-                # order.
-                entries.append(fact)
-            else:
-                # Message facts can carry older provenance; keep the list
-                # sorted by step with ties in insertion order (insort-right
-                # matches the stable sort of the reference implementation).
-                insort(entries, fact, key=_FACT_STEP)
+            elif step >= existing.step:
+                # Message facts can carry older provenance; only an
+                # at-least-as-recent fact takes the slot (ties go to the
+                # later insert, as in the reference's stable sort).
+                if existing.value != fact.value:
+                    novel += 1
+                slots[key] = fact
         if evicted:
             self._evicted_obs += evicted
+        return novel
 
     # ------------------------------------------------------------------ #
     # Retrieval
@@ -356,20 +357,20 @@ class MemoryModule:
         return len(self._observations) - below
 
     def _resolve_from_index(self, start: int) -> list[Fact]:
-        """Newest-wins resolution straight from the slot-history index.
+        """Newest-wins resolution straight from the slot table.
 
         A slot's newest fact overall is also its newest *in-window* fact
         whenever it is in the window at all (the window is a suffix of the
-        step axis), so resolution never touches older entries.  Walking
+        step axis), so resolution never needs older entries.  Walking
         the sorted key mirror emits the facts already in the reference
         path's ``(subject, relation)`` output order (slot keys are
         unique, so sortedness alone pins the order).
         """
-        history = self._slot_history
+        slots = self._slot_index._slots
         resolved = []
         append = resolved.append
         for key in self._sorted_slot_keys:
-            fact = history[key][-1]
+            fact = slots[key]
             if fact.step >= start:
                 append(fact)
         return resolved
@@ -444,13 +445,11 @@ class MemoryModule:
                     self._obs_step_counts[fact.step] -= 1
                     if fact.step < self._evict_start:
                         self._evicted_obs -= 1
-            if self._slot_history.pop(key, None) is not None:
-                index = bisect_left(self._sorted_slot_keys, key)
-                del self._sorted_slot_keys[index]
+        if self._slot_index.forget(subject, relation) and self._fast:
+            del self._sorted_slot_keys[bisect_left(self._sorted_slot_keys, key)]
         self._observations = [
             fact for fact in self._observations if fact.key() != key
         ]
-        self._slot_index.forget(subject, relation)
 
     # ------------------------------------------------------------------ #
     # Introspection

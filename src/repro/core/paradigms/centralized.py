@@ -97,7 +97,7 @@ class CentralizedLoop(ParadigmLoop):
         )
         builder.observation(central_bundle.observation)
         builder.memory(central_bundle.memory_facts)
-        builder.dialogue(central_bundle.dialogue, window_key=self.central.name)
+        builder.dialogue(central_bundle.dialogue)
         for name, candidates in candidates_by_agent.items():
             builder.candidates(candidates)
             builder.static_extra("agent_header", f"Options above are for {name}.")

@@ -193,10 +193,10 @@ class Message:
     """An inter-agent message in a multi-agent system.
 
     ``facts`` is the sharable knowledge payload; ``intent`` the sender's
-    declared next subgoal.  ``novel_facts`` is filled in on delivery with
-    the number of payload facts the receiver did not already know — the
-    paper's measure of message usefulness (Sec. V-D: only ~20 % of CoELA's
-    messages contribute).
+    declared next subgoal.  How many payload facts a delivery's receivers
+    did not already know is the paper's measure of message usefulness
+    (Sec. V-D: only ~20 % of CoELA's messages contribute); the delivery
+    path counts it into :class:`~repro.core.metrics.MetricsCollector`.
     """
 
     sender: str
@@ -205,7 +205,6 @@ class Message:
     facts: tuple[Fact, ...] = ()
     intent: Subgoal | None = None
     text: str = ""
-    novel_facts: int = 0
 
     def describe(self) -> str:
         if self.text:

@@ -13,10 +13,14 @@ LLM call never re-tokenizes the (growing) prompt text.  The builder goes
 further on the optimized path: stable sections (system preambles, task
 descriptions, fixed instructions) are interned and reused across steps and
 episodes, and sections assembled from many rendered pieces (memory facts,
-dialogue, candidates) are counted *additively* from per-piece cached counts
-— valid because the estimator never merges tokens across the space
-separator (see :mod:`repro.llm.tokenizer`) — instead of re-tokenizing the
-joined text each step.
+action histories, dialogue, candidates) are counted *additively* from
+per-piece cached counts — valid because the estimator never merges tokens
+across the space separator (see :mod:`repro.llm.tokenizer`) — instead of
+re-tokenizing the joined text each step.  Memory, action-history and
+dialogue sections count eagerly (one C-level sum over the pieces'
+``_ptokens`` memos) but join their text lazily, on first read: the
+simulated LLM reads only token counts, so the join is paid only by
+callers that render.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import attrgetter
 from typing import Sequence
 
 from repro.core import hotpath
@@ -41,6 +46,11 @@ class PromptSection:
     precomputed count when the caller already knows it (the incremental
     builder's additive accounting), or let ``__post_init__`` derive it
     from ``text``.  Either way the count equals ``count_tokens(text)``.
+
+    A section built by :func:`_joined_section` holds its pieces instead of
+    its text and joins them on the first read of ``text`` (``==``,
+    ``repr``, ``hash`` and :meth:`Prompt.render` all read it), so it is
+    indistinguishable from the eagerly joined section.
     """
 
     name: str
@@ -50,6 +60,32 @@ class PromptSection:
     def __post_init__(self) -> None:
         if self.tokens < 0:
             object.__setattr__(self, "tokens", count_tokens(self.text))
+
+    def __getattr__(self, name: str) -> str:
+        # Reached only when normal lookup fails: a joined section's
+        # ``text`` before its first read.
+        pieces = self.__dict__.get("_pieces")
+        if name != "text" or pieces is None:
+            raise AttributeError(name)
+        items, dotted = pieces
+        described = [item.describe() for item in items]
+        text = ". ".join(described) + "." if dotted else " ".join(described)
+        self.__dict__["text"] = text
+        return text
+
+
+def _joined_section(
+    name: str, items: Sequence, tokens: int, dotted: bool
+) -> PromptSection:
+    """A section whose text joins ``items``' renderings on first read.
+
+    The text is the ``describe()`` renderings space-joined, each
+    period-terminated when ``dotted``; ``tokens`` must be its count.
+    ``items`` must not be mutated afterwards.
+    """
+    section = object.__new__(PromptSection)
+    section.__dict__.update(name=name, tokens=tokens, _pieces=(items, dotted))
+    return section
 
 
 @lru_cache(maxsize=1024)
@@ -192,180 +228,32 @@ class _IdentitySectionMemo:
 
 _CANDIDATE_SECTIONS = _IdentitySectionMemo()
 
-#: Rendered memory sections keyed by payload-tuple identity (the staged
-#: per-step communication payloads re-enter every dialogue round).
-_MEMORY_SECTIONS = _IdentitySectionMemo()
+_PTOKENS = attrgetter("_ptokens")
 
 
-def _described_section(name: str, items) -> PromptSection:
-    """Render a period-terminated ``describe()`` section (fast path).
-
-    Each item carries a ``_pdot`` instance memo — its period-terminated
-    rendering paired with the token count of the bare text — so the
-    steady state is one dict read per item with no method calls or
-    string concatenation.  The memo composes the ``_described`` /
-    ``_ptokens`` memos (:func:`repro.core.types._memo_describe`,
-    :func:`_piece_tokens`), which stay authoritative for callers that
-    need the undotted form.  Token count is additive: each piece plus
-    one token for its terminating period.
-    """
-    parts: list[str] = []
-    append = parts.append
-    setattr_ = object.__setattr__
-    tokens = 0
-    for item in items:
-        memo = item.__dict__
-        entry = memo.get("_pdot")
-        if entry is None:
-            part = memo.get("_described")
-            if part is None:
-                part = item.describe()
-            count = memo.get("_ptokens")
-            if count is None:
-                count = count_tokens(part)
-                setattr_(item, "_ptokens", count)
-            entry = (part + ".", count)
-            setattr_(item, "_pdot", entry)
-        append(entry[0])
-        tokens += entry[1]
-    return PromptSection(name, " ".join(parts), tokens + len(parts))
-
-
-def _piece_tokens(item: object, text: str) -> int:
-    """Token count of one rendered piece, cached on the instance.
+def piece_tokens(item: object) -> int:
+    """Token count of ``item.describe()``, cached on the instance.
 
     Mirrors ``_memo_describe`` (:mod:`repro.core.types`): the value types
     are frozen dataclasses whose rendering — and therefore its token
     count — is a pure function of their fields, so the count can live on
-    the instance and be reused every step the object re-enters a prompt
-    (memory windows and dialogue histories re-render the same instances
-    for many steps).  Only used on the fast path.
+    the instance as ``_ptokens`` and be reused every step the object
+    re-enters a prompt (memory windows and dialogue histories re-render
+    the same instances for many steps).  Only used on the fast path.
     """
     tokens = item.__dict__.get("_ptokens")
     if tokens is None:
-        tokens = count_tokens(text)
+        tokens = count_tokens(item.describe())
         object.__setattr__(item, "_ptokens", tokens)
     return tokens
 
 
-class _DialogueWindows:
-    """Incremental per-conversation dialogue-window renderer.
-
-    An agent's dialogue windows evolve by suffix: step ``t+1``'s window
-    is step ``t``'s window minus a few truncated heads plus the step's
-    new messages.  Windows of *different* agents interleave (each agent's
-    log lacks its own broadcasts), so the cache keys on an explicit
-    ``window_key`` — the rendering agent — handed down by the planning /
-    communication modules.  Each key holds the conversation's last
-    rendered window with its per-message parts and token counts; the next
-    render locates the prior window's last message inside the new window,
-    splices the overlapping parts and counts, and describes/counts only
-    the genuinely new messages.  Entries pin their message objects, so
-    while an entry lives its ids cannot be recycled — an id match
-    therefore guarantees object identity, and parts/counts are pure
-    functions of those objects (counts via :func:`_piece_tokens`, so
-    splicing is byte-identical to recounting).  A stale entry (a new
-    episode reusing agent names) simply fails the id comparisons and
-    falls back to a full rebuild.
-
-    The read path is lock-free: a plain dict ``get`` is atomic under the
-    GIL, entries are immutable tuples, and a racing writer can only make
-    a reader miss (rebuild the same pure value), never observe a torn
-    entry — the suite's threaded ``--concurrent-sections`` mode relies on
-    this.  Writers serialize on a lock and clear the map outright at
-    capacity: keys number one per live conversation, so wholesale
-    eviction is rare and cheap to re-warm.
-    """
-
-    def __init__(self, capacity: int = 512) -> None:
-        self._entries: dict[
-            str,
-            tuple[
-                tuple[int, ...],
-                tuple[Message, ...],
-                tuple[str, ...],
-                tuple[int, ...],
-                PromptSection,
-                list[Message] | None,
-                int,
-            ],
-        ] = {}
-        self._capacity = capacity
-        self._lock = threading.Lock()
-
-    def section(
-        self,
-        window_key: str,
-        recent: list[Message],
-        source: list[Message] | None = None,
-    ) -> PromptSection:
-        entries = self._entries
-        entry = entries.get(window_key)
-        # Same-source fast path: within a step the planning and
-        # communication modules hand the same (unmutated) window list;
-        # the pinned source plus its length identify it in O(1) without
-        # building the per-message id tuple (appends grow the length and
-        # fall through to the id comparison below).
-        if (
-            entry is not None
-            and source is not None
-            and entry[5] is source
-            and entry[6] == len(source)
-        ):
-            return entry[4]
-        ids = tuple(map(id, recent))
-        if entry is not None and entry[0] == ids:
-            return entry[4]
-        n = len(ids)
-        parts: list[str | None] = [None] * n
-        counts: list[int] = [0] * n
-        if entry is not None:
-            prior_ids = entry[0]
-            prior_last = prior_ids[-1]
-            # The prior window's newest message sits near the end of the
-            # new window (only the step's additions follow it).
-            for index in range(n - 1, -1, -1):
-                if ids[index] == prior_last:
-                    overlap = min(len(prior_ids), index + 1)
-                    if prior_ids[-overlap:] == ids[index + 1 - overlap : index + 1]:
-                        parts[index + 1 - overlap : index + 1] = entry[2][-overlap:]
-                        counts[index + 1 - overlap : index + 1] = entry[3][-overlap:]
-                    break
-        for index in range(n):
-            if parts[index] is None:
-                message = recent[index]
-                memo = message.__dict__
-                part = memo.get("_described")
-                if part is None:
-                    part = message.describe()
-                parts[index] = part
-                count = memo.get("_ptokens")
-                if count is None:
-                    count = _piece_tokens(message, part)
-                counts[index] = count
-        section = PromptSection("dialogue", " ".join(parts), sum(counts))
-        with self._lock:
-            if len(entries) >= self._capacity:
-                entries.clear()
-            entries[window_key] = (
-                ids,
-                tuple(recent),
-                tuple(parts),
-                tuple(counts),
-                section,
-                source,
-                len(source) if source is not None else -1,
-            )
-        return section
-
-
-_DIALOGUE_SECTIONS = _DialogueWindows()
-
-#: Dialogue windows shorter than this are cheaper to re-render (describes
-#: and per-piece token counts are already memoized) than to key and look
-#: up, so the memo only engages once the window is long enough for the
-#: join + token summation to dominate.
-_DIALOGUE_MEMO_MIN_MESSAGES = 12
+def _pieces_tokens(items: Sequence) -> int:
+    """Summed ``_ptokens`` memos of ``items``, filling any that are missing."""
+    try:
+        return sum(map(_PTOKENS, items))
+    except AttributeError:
+        return sum(map(piece_tokens, items))
 
 
 class PromptBuilder:
@@ -415,7 +303,7 @@ class PromptBuilder:
                     head = f"{observation.agent} is at {observation.position}."
                     tokens = count_tokens(head)
                     for fact in observation.facts:
-                        tokens += _piece_tokens(fact, fact.describe()) + 1
+                        tokens += piece_tokens(fact) + 1
                     object.__setattr__(observation, "_ptokens", tokens)
                 self._prompt.append_section(
                     PromptSection("observation", text, tokens)
@@ -425,19 +313,7 @@ class PromptBuilder:
         return self
 
     def memory(self, facts: "Sequence[Fact]") -> "PromptBuilder":
-        if facts:
-            # Tuple inputs come from per-step staged payloads
-            # (communication) whose identity is stable across the step's
-            # dialogue rounds; reuse their rendered section wholesale.
-            if self._fast and type(facts) is tuple:
-                section = _MEMORY_SECTIONS.get(facts)
-                if section is None:
-                    section = _described_section("memory", facts)
-                    _MEMORY_SECTIONS.put(facts, section)
-                self._prompt.append_section(section)
-                return self
-            self.described_list("memory", facts)
-        return self
+        return self.described_list("memory", facts)
 
     def described_list(self, name: str, items) -> "PromptBuilder":
         """Add a section of period-terminated ``describe()`` renderings.
@@ -445,57 +321,33 @@ class PromptBuilder:
         Renders ``item.describe() + "."`` for each item, space-joined —
         the shape shared by memory facts and action histories.  The fast
         path counts tokens additively (each rendered piece plus one token
-        for its period) instead of re-tokenizing the joined text.
+        for its period) and joins the text lazily.
         """
         if not items:
             return self
         if self._fast:
-            self._prompt.append_section(_described_section(name, items))
+            items = tuple(items)
+            tokens = _pieces_tokens(items) + len(items)
+            self._prompt.append_section(_joined_section(name, items, tokens, True))
         else:
             parts = [item.describe() for item in items]
             text = " ".join(part + "." for part in parts)
             self._prompt.add(name, text)
         return self
 
-    def dialogue(
-        self, messages: list[Message], window_key: str | None = None
-    ) -> "PromptBuilder":
+    def dialogue(self, messages: list[Message]) -> "PromptBuilder":
         """Append dialogue history, truncated to the most recent window.
 
         Real systems cannot concatenate unbounded dialogue — they truncate
         at the context limit.  The cap keeps the paper's token-growth
         dynamics (Fig. 6) while bounding prompt size for large teams.
-
-        ``window_key`` names the conversation (normally the rendering
-        agent) so the fast path can render long windows incrementally
-        across steps; callers without a stable identity omit it and pay
-        the full per-window render.
         """
         if messages:
             recent = messages[-MAX_DIALOGUE_MESSAGES:]
             if self._fast:
-                if (
-                    window_key is not None
-                    and len(recent) >= _DIALOGUE_MEMO_MIN_MESSAGES
-                ):
-                    section = _DIALOGUE_SECTIONS.section(
-                        window_key, recent, source=messages
-                    )
-                else:
-                    parts = []
-                    append = parts.append
-                    tokens = 0
-                    for message in recent:
-                        memo = message.__dict__
-                        part = memo.get("_described")
-                        if part is None:
-                            part = message.describe()
-                        append(part)
-                        count = memo.get("_ptokens")
-                        if count is None:
-                            count = _piece_tokens(message, part)
-                        tokens += count
-                    section = PromptSection("dialogue", " ".join(parts), tokens)
+                section = _joined_section(
+                    "dialogue", recent, _pieces_tokens(recent), False
+                )
                 self._prompt.append_section(section)
             else:
                 parts = [message.describe() for message in recent]

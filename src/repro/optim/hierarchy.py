@@ -143,7 +143,7 @@ class HierarchicalLoop(ParadigmLoop):
         )
         builder.observation(lead_bundle.observation)
         builder.memory(lead_bundle.memory_facts)
-        builder.dialogue(lead_bundle.dialogue, window_key=lead.name)
+        builder.dialogue(lead_bundle.dialogue)
         for name, candidates in candidates_by_agent.items():
             builder.candidates(candidates)
             builder.static_extra("agent_header", f"Options above are for {name}.")

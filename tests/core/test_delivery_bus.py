@@ -3,8 +3,10 @@
 The episode-level byte-identity of the bus is asserted by the golden
 equivalence suite; these tests pin the component contracts it rests on:
 batched belief merges count novelty exactly like sequential updates,
-staged memory writes commit to the same state as inline stores, read
-paths refuse to serve uncommitted staging, the detector fast lanes leave
+staged memory writes commit to the same state as inline stores (also as
+a property over random delivery streams, against the per-message and
+reference paths), read paths refuse to serve uncommitted staging, the
+detector fast lanes leave
 the rng stream bit-identical, and the sensing/position staging caches
 invalidate when the world moves.
 """
@@ -12,18 +14,23 @@ invalidate when the world moves.
 from __future__ import annotations
 
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import clock as clock_mod
 from repro.core import hotpath
+from repro.core.agent import EmbodiedAgent, PerceptionBundle
 from repro.core.beliefs import Beliefs
+from repro.core.bus import DeliveryBus
 from repro.core.clock import SimClock
 from repro.core.metrics import MetricsCollector
 from repro.core.modules.base import ModuleContext
 from repro.core.modules.memory import MemoryModule
-from repro.core.types import Fact, Message, TaskSpec
+from repro.core.types import Fact, Message, Subgoal, TaskSpec
 from repro.envs.tasks import make_task
 from repro.envs.transport import TransportEnv
 from repro.perception.detector import detect
@@ -105,6 +112,189 @@ class TestStagedMemoryWrites:
                 memory.dialogue_window(1)
             memory.commit_staged_messages()
             assert memory.retrieve(1).dialogue  # served again after commit
+
+
+class _NoveltyLog(MemoryModule):
+    """Memory that records what every per-message store reports as novel."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.novelty: list[int] = []
+
+    def store_message(self, message: Message) -> int:
+        novel = super().store_message(message)
+        self.novelty.append(novel)
+        return novel
+
+
+class _UsefulnessLog:
+    """Metrics stand-in that keeps the bus's per-message usefulness flags."""
+
+    def __init__(self) -> None:
+        self.flags: list[bool] = []
+
+    def record_message(self, useful: bool) -> None:
+        self.flags.append(useful)
+
+
+#: agent_2 has no memory module, covering the bus's memoryless branch.
+_RECEIVERS = ("agent_0", "agent_1", "agent_2")
+_MEMORYLESS = "agent_2"
+_SUBJECTS = ("mug", "box_1", "box_2")
+_RELATIONS = ("located_in", "at_cell")
+_VALUES = ("kitchen", "hall", "room_0")
+#: (subject, relation, value, age): a fact ``age`` steps older than now.
+_FACT = st.tuples(
+    st.sampled_from(_SUBJECTS),
+    st.sampled_from(_RELATIONS),
+    st.sampled_from(_VALUES),
+    st.integers(0, 6),
+)
+_MESSAGE = st.tuples(
+    st.lists(_FACT, max_size=4),  # payload, with out-of-order provenance
+    st.lists(st.sampled_from(_RECEIVERS), min_size=1, max_size=3, unique=True),
+    st.sampled_from((None, "mug", "box_1")),  # intent target
+    st.integers(0, 2),  # message step lag: > 0 can unsort the dialogue store
+)
+_STEP = st.tuples(
+    st.lists(_FACT, max_size=4),  # the step's first-hand frame
+    st.lists(_MESSAGE, max_size=5),
+    st.none() | st.tuples(st.sampled_from(_SUBJECTS), st.sampled_from(_RELATIONS)),
+)
+
+
+def _stack(fast: bool, capacity: int):
+    """Receivers (agent stand-ins), their bundles, under one hot-path mode."""
+    agents, bundles = {}, {}
+    with hotpath.override(fast):
+        for name in _RECEIVERS:
+            memory = None
+            if name != _MEMORYLESS:
+                context = ModuleContext(
+                    agent=name,
+                    clock=SimClock(),
+                    metrics=MetricsCollector(workload="test", horizon=50),
+                    rng=np.random.default_rng(5),
+                )
+                memory = _NoveltyLog(
+                    context, capacity_steps=capacity, static_facts=[], dual=False
+                )
+            agents[name] = SimpleNamespace(
+                name=name, memory=memory, state=SimpleNamespace(step_dialogue=[])
+            )
+            bundles[name] = PerceptionBundle(
+                observation=None,
+                current_facts=(),
+                beliefs=Beliefs(),
+                memory_facts=[],
+                action_records=[],
+                dialogue=[],
+            )
+    return agents, bundles
+
+
+def _deliver_inline(agents, bundles, message: Message, flags: list[bool]) -> None:
+    """The seed's per-delivery fan-out: one receive_message per receiver."""
+    novel_total = 0
+    for name in message.recipients:
+        novel_total += EmbodiedAgent.receive_message(
+            agents[name], message, bundles[name]
+        )
+    flags.append(novel_total > 0)
+
+
+class TestDeliveryPathsAgree:
+    """Bus staging, per-message stores and the reference path agree."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(capacity=st.integers(1, 4), steps=st.lists(_STEP, min_size=1, max_size=10))
+    def test_staged_inline_and_reference_paths_agree(self, capacity, steps):
+        bus_agents, bus_bundles = _stack(True, capacity)
+        inline_agents, inline_bundles = _stack(True, capacity)
+        ref_agents, ref_bundles = _stack(False, capacity)
+        bus_metrics = _UsefulnessLog()
+        bus = DeliveryBus(list(bus_agents.values()), bus_metrics)
+        inline_flags: list[bool] = []
+        ref_flags: list[bool] = []
+        paths = (
+            (bus_agents, bus_bundles),
+            (inline_agents, inline_bundles),
+            (ref_agents, ref_bundles),
+        )
+        for step, (frame, messages, forget) in enumerate(steps, start=1):
+            observed = tuple(
+                Fact(subject, relation, value, step=step)
+                for subject, relation, value, _age in frame
+            )
+            for agents, _ in paths:
+                for agent in agents.values():
+                    if agent.memory is not None:
+                        agent.memory.context.set_step(step)
+                        agent.memory.store_observation(observed)
+            for payload, recipients, target, lag in messages:
+                message = Message(
+                    sender="peer",
+                    recipients=tuple(sorted(recipients)),
+                    step=step - lag,
+                    facts=tuple(
+                        Fact(subject, relation, value, step=max(0, step - age))
+                        for subject, relation, value, age in payload
+                    ),
+                    intent=Subgoal("fetch", target=target) if target else None,
+                )
+                bus.stage(message, bus_bundles)
+                _deliver_inline(inline_agents, inline_bundles, message, inline_flags)
+                _deliver_inline(ref_agents, ref_bundles, message, ref_flags)
+            bus.flush(bus_bundles)
+            if forget is not None:
+                for agents, _ in paths:
+                    for agent in agents.values():
+                        if agent.memory is not None:
+                            agent.memory.forget(*forget)
+
+            assert bus_metrics.flags == inline_flags == ref_flags
+            for name in _RECEIVERS:
+                staged, inline, ref = (agents[name] for agents, _ in paths)
+                assert (
+                    bus_bundles[name].beliefs
+                    == inline_bundles[name].beliefs
+                    == ref_bundles[name].beliefs
+                )
+                assert (
+                    bus_bundles[name].dialogue
+                    == inline_bundles[name].dialogue
+                    == ref_bundles[name].dialogue
+                )
+                if staged.memory is None:
+                    assert (
+                        staged.state.step_dialogue
+                        == inline.state.step_dialogue
+                        == ref.state.step_dialogue
+                    )
+                    continue
+                assert inline.memory.novelty == ref.memory.novelty
+                assert (
+                    staged.memory._slot_index
+                    == inline.memory._slot_index
+                    == ref.memory._slot_index
+                )
+                got = [agent.memory.retrieve(step) for agent in (staged, inline, ref)]
+                for field in ("facts", "scanned_entries", "dialogue", "action_records"):
+                    assert (
+                        getattr(got[0], field)
+                        == getattr(got[1], field)
+                        == getattr(got[2], field)
+                    ), field
+                assert (
+                    staged.memory.dialogue_window(step)
+                    == inline.memory.dialogue_window(step)
+                    == ref.memory.dialogue_window(step)
+                )
+                assert (
+                    staged.memory.context.clock.spans
+                    == inline.memory.context.clock.spans
+                    == ref.memory.context.clock.spans
+                )
 
 
 class TestDetectorStreamIdentity:

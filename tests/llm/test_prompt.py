@@ -1,5 +1,12 @@
 """Tests for structured prompt assembly."""
 
+import copy
+import pickle
+
+import pytest
+
+from repro.core import hotpath
+from repro.core.modules.memory import ActionRecord
 from repro.core.types import Candidate, Fact, Message, Observation, Subgoal
 from repro.llm.prompt import Prompt, PromptBuilder, PromptSection, intern_section
 from repro.llm.tokenizer import count_tokens
@@ -118,3 +125,69 @@ class TestPromptBuilder:
         short = PromptBuilder().dialogue(messages[:1]).build().tokens
         long = PromptBuilder().dialogue(messages).build().tokens
         assert long > short
+
+
+class TestJoinedSections:
+    """Fast-path sections that count eagerly and join their text lazily."""
+
+    @staticmethod
+    def _build():
+        messages = [
+            Message(sender="a1", recipients=("a0",), step=1, text="hi there"),
+            Message(
+                sender="a2",
+                recipients=("a0",),
+                step=2,
+                facts=(Fact("mug", "located_in", "hall", step=2),),
+                intent=Subgoal("fetch", target="mug"),
+            ),
+        ]
+        records = [
+            ActionRecord(step, Subgoal("explore", target=f"room_{step}"), step % 2 == 0)
+            for step in range(3)
+        ]
+        return (
+            PromptBuilder()
+            .memory([Fact("book", "located_in", "study", step=1)])
+            .described_list("action_history", records)
+            .dialogue(messages)
+            .build()
+        )
+
+    def test_text_joined_on_first_read(self):
+        with hotpath.override(True):
+            section = self._build().sections[0]
+        assert "text" not in section.__dict__
+        assert section.text == "book located in study."
+        assert section.__dict__["text"] is section.text
+
+    def test_identical_to_eager_sections(self):
+        with hotpath.override(False):
+            reference = self._build()
+        with hotpath.override(True):
+            # One fresh prompt per probe, so each reads unjoined sections.
+            for_repr, for_hash, for_render = (self._build() for _ in range(3))
+        assert [repr(s) for s in for_repr.sections] == [
+            repr(s) for s in reference.sections
+        ]
+        assert [hash(s) for s in for_hash.sections] == [
+            hash(s) for s in reference.sections
+        ]
+        assert for_render.render() == reference.render()
+        assert for_render.sections == reference.sections
+        for section in for_render.sections:
+            assert section.tokens == count_tokens(section.text)
+
+    def test_copy_and_pickle_round_trip(self):
+        with hotpath.override(True):
+            eager = self._build().sections[2]
+            unjoined = self._build().sections[2]
+        assert eager.text  # joined before the round trip
+        assert copy.copy(unjoined) == eager
+        assert pickle.loads(pickle.dumps(unjoined)) == eager
+
+    def test_other_attributes_still_raise(self):
+        with hotpath.override(True):
+            section = self._build().sections[0]
+        with pytest.raises(AttributeError):
+            section.missing_attribute
