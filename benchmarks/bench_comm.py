@@ -21,8 +21,7 @@ The same two contracts as ``bench_hotpath`` are enforced:
   within 20 % of the committed baseline ratio in
   ``benchmarks/baselines/BENCH_comm.json``.
 
-Emits ``BENCH_comm.json`` for CI artifacts; ``REPRO_PROFILE=1`` appends
-the host-time breakdown.
+Emits ``BENCH_comm.json`` for CI artifacts.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from pathlib import Path
 from conftest import emit
 
 from repro.core import hotpath
-from repro.core.metrics import host_profile_report
 from repro.experiments.common import GridCell, measure_grid
 from repro.llm.tokenizer import count_tokens
 from repro.workloads.registry import get_workload
@@ -131,9 +129,6 @@ def test_bench_comm_speedup(benchmark, settings):
         f"baseline:  {baseline_speedup}x committed, "
         f"gate at {BASELINE_TOLERANCE:.0%} of it"
     )
-    profile = host_profile_report(top=12)
-    if profile is not None:
-        body += "\n" + profile
     emit("Communication pipeline (per-delivery vs step-batched bus)", body)
 
     assert speedup >= SPEEDUP_FLOOR, (

@@ -24,8 +24,8 @@ Two contracts are enforced, mirroring ``bench_executor``:
   could not).
 
 The run emits ``BENCH_hotpath.json`` next to the working directory for
-CI artifacts/inspection.  Set ``REPRO_PROFILE=1`` to append the host-time
-per-(module, phase) breakdown to the report.
+CI artifacts/inspection.  For a per-layer host-time breakdown, run
+``python3 perfbench/run.py --trace 1``.
 """
 
 from __future__ import annotations
@@ -37,9 +37,8 @@ from pathlib import Path
 
 from conftest import bench_attempts, emit
 
-from repro.core import clock, hotpath
+from repro.core import hotpath
 from repro.core.config import MemoryConfig
-from repro.core.metrics import host_profile_report
 from repro.experiments.common import GridCell, measure_grid
 from repro.llm.tokenizer import count_tokens
 from repro.workloads.registry import get_workload
@@ -103,16 +102,14 @@ def _timed(grid, settings, fast: bool) -> tuple[list, float]:
     small shared piece vocabulary, which is exactly its design advantage.
     """
     count_tokens.cache_clear()
-    # Both passes run the vector detector (pinned on every grid config)
-    # and the coarse clock: both are shared infrastructure, not part of
-    # the reference/optimized seam, and pinning ONE mode for the whole
-    # comparison keeps the byte-identity contract intact (aggregates are
-    # compared within the mode; coarse totals are byte-identical by
-    # construction and the bench consumes only finalized aggregates).
-    # Using the faster modes for both passes shrinks the shared constant
-    # term, which is the honest way to sharpen the measured
+    # Both passes run the vector detector (pinned on every grid config):
+    # it is shared infrastructure, not part of the reference/optimized
+    # seam, and pinning ONE mode for the whole comparison keeps the
+    # byte-identity contract intact (aggregates are compared within the
+    # mode).  Using the faster mode for both passes shrinks the shared
+    # constant term, which is the honest way to sharpen the measured
     # planning-layer ratio (docs/performance.md, phase 4).
-    with clock.override_coarse(True), hotpath.override(fast):
+    with hotpath.override(fast):
         started = time.perf_counter()
         results = measure_grid(grid, settings)
         return results, time.perf_counter() - started
@@ -190,9 +187,6 @@ def test_bench_hotpath_speedup(benchmark, settings):
         f"baseline:  {baseline_speedup}x committed, "
         f"gate at {BASELINE_TOLERANCE:.0%} of it"
     )
-    profile = host_profile_report(top=12)
-    if profile is not None:
-        body += "\n" + profile
     emit("Episode hot path (reference vs optimized)", body)
 
     assert speedup >= SPEEDUP_FLOOR, (

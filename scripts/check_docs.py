@@ -1,7 +1,7 @@
 """Documentation checks: links, knob coverage, and doctests.
 
 Run as ``make docs-check`` (CI's ``docs`` and ``serving-docs`` jobs).
-Four offline checks:
+Five offline checks:
 
 1. **Markdown links** — every relative link in ``README.md`` and
    ``docs/*.md`` must point at an existing file, and every in-document
@@ -18,10 +18,14 @@ Four offline checks:
    row in the ``docs/performance.md`` table must still be referenced
    in ``src/`` or ``benchmarks/``, so a deleted knob cannot leave a
    stale row behind.
-3. **Module doctests** — ``doctest.testmod`` over every ``src/repro``
+3. **Execution-knob exclusions** — every knob listed in
+   ``fleet.EXECUTION_KNOBS`` (the knobs kept out of ledger fingerprints)
+   must be referenced somewhere else in ``src/``, ``benchmarks/`` or
+   ``tests/``, so a deleted knob cannot leave a stale exclusion behind.
+4. **Module doctests** — ``doctest.testmod`` over every ``src/repro``
    module whose source contains a ``>>>`` prompt, so examples in
    docstrings cannot rot silently.
-4. **Markdown doctests** — the ``>>>`` examples embedded in
+5. **Markdown doctests** — the ``>>>`` examples embedded in
    ``README.md``/``docs/*.md`` run through ``doctest`` too (per file,
    shared globals top to bottom), so guide examples stay executable.
 
@@ -31,6 +35,7 @@ clean.
 
 from __future__ import annotations
 
+import ast
 import doctest
 import importlib
 import re
@@ -41,6 +46,7 @@ REPO = Path(__file__).resolve().parent.parent
 DOC_FILES = [REPO / "README.md", *sorted((REPO / "docs").glob("*.md"))]
 KNOB_DOC = REPO / "docs" / "performance.md"
 SERVING_DOC = REPO / "docs" / "serving.md"
+FLEET = REPO / "src" / "repro" / "core" / "fleet.py"
 
 #: Knob prefixes the serving guide must cover in addition to the master
 #: table in performance.md.
@@ -116,6 +122,27 @@ def check_knob_coverage() -> list[str]:
     return problems
 
 
+def check_execution_knobs() -> list[str]:
+    source = FLEET.read_text()
+    node = next(
+        node
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign)
+        and any(getattr(target, "id", None) == "EXECUTION_KNOBS" for target in node.targets)
+    )
+    definition = "".join(source.splitlines(keepends=True)[node.lineno - 1 : node.end_lineno])
+    referenced = set(KNOB.findall(source.replace(definition, "")))
+    for root in (REPO / "src", REPO / "benchmarks", REPO / "tests"):
+        for path in root.rglob("*.py"):
+            if path != FLEET:
+                referenced.update(KNOB.findall(path.read_text()))
+    return [
+        f"src/repro/core/fleet.py: EXECUTION_KNOBS lists {knob}, "
+        "referenced nowhere else in src/, benchmarks/ or tests/"
+        for knob in sorted(set(KNOB.findall(definition)) - referenced)
+    ]
+
+
 def check_doctests() -> list[str]:
     problems = []
     src = REPO / "src"
@@ -162,6 +189,7 @@ def main() -> int:
     problems = (
         check_links()
         + check_knob_coverage()
+        + check_execution_knobs()
         + check_doctests()
         + check_markdown_doctests()
     )
@@ -174,7 +202,7 @@ def main() -> int:
     print(
         f"docs-check ok: {len(DOC_FILES)} files, {n_links} links, "
         "all source knobs documented and no stale table rows "
-        "(serving guide covered), "
+        "(serving guide covered), no stale execution-knob exclusions, "
         "module and markdown doctests green"
     )
     return 0

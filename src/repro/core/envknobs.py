@@ -8,8 +8,8 @@ empty/unset always means "use the default", and malformed values raise a
 Adopters: ``REPRO_TRIALS`` / ``REPRO_WORKERS`` / ``REPRO_SERVE_CAP``
 (:func:`int_knob`, via ``experiments/common.py`` and the serving layer),
 ``REPRO_HOTPATH`` / ``REPRO_SUITE_CONCURRENT`` / ``REPRO_OVERLAP``
-(:func:`bool_knob`), ``REPRO_CLOCK`` / ``REPRO_SERVE`` /
-``REPRO_DETECTOR`` (:func:`choice_knob`), ``REPRO_LEASE_SECONDS`` /
+(:func:`bool_knob`), ``REPRO_SERVE`` / ``REPRO_DETECTOR``
+(:func:`choice_knob`), ``REPRO_LEASE_SECONDS`` /
 ``REPRO_FLUSH_SECONDS`` / ``REPRO_FLEET_POLL`` (:func:`float_knob`, via
 the fleet layer).  The knob table with defaults and precedence rules
 lives in docs/performance.md and the serving-specific knobs in

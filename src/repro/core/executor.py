@@ -41,7 +41,7 @@ Contracts:
 - **Knob precedence** — ``REPRO_WORKERS`` only supplies the *default*
   (serial at 1, parallel above); explicit ``ExperimentSettings(executor=,
   max_workers=)`` or a directly constructed executor always wins.
-  Workers re-read ``REPRO_HOTPATH``/``REPRO_CLOCK``/``REPRO_SERVE`` from
+  Workers re-read ``REPRO_HOTPATH``/``REPRO_SERVE`` from
   the environment at spawn — in-process overrides do not cross the pool
   boundary.
 - **Failure surface** — a crashed trial raises ``TrialExecutionError``

@@ -471,6 +471,4 @@ class MemoryModule:
         return [message for message in self._dialogue if message.step >= start]
 
     def _charge(self, seconds: float, phase: str) -> None:
-        self.context.clock.advance(
-            seconds, ModuleName.MEMORY, phase=phase, agent=self.context.agent
-        )
+        self.context.clock.advance(seconds, ModuleName.MEMORY, phase=phase)

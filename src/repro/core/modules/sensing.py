@@ -75,10 +75,7 @@ class SensingModule:
         ground_facts = env.visible_facts(self.context.agent)
         if self.profile is None:
             self.context.clock.advance(
-                SYMBOLIC_FEED_SECONDS,
-                ModuleName.SENSING,
-                phase="symbolic",
-                agent=self.context.agent,
+                SYMBOLIC_FEED_SECONDS, ModuleName.SENSING, phase="symbolic"
             )
             return tuple(ground_facts)
         result = detect(
@@ -89,10 +86,7 @@ class SensingModule:
             mode=self.detector_mode,
         )
         self.context.clock.advance(
-            result.latency,
-            ModuleName.SENSING,
-            phase=self.profile.name,
-            agent=self.context.agent,
+            result.latency, ModuleName.SENSING, phase=self.profile.name
         )
         return result.facts
 

@@ -14,7 +14,7 @@ from repro.core import hotpath
 from repro.core.agent import EmbodiedAgent, PerceptionBundle
 from repro.core.envknobs import bool_knob
 from repro.core.bus import DeliveryBus
-from repro.core.clock import SimClock, host_profiler
+from repro.core.clock import SimClock
 from repro.core.config import SystemConfig
 from repro.core.errors import FaultKind
 from repro.core.metrics import EpisodeResult, MetricsCollector
@@ -75,11 +75,6 @@ class ParadigmLoop(abc.ABC):
     # ------------------------------------------------------------------ #
 
     def run(self) -> EpisodeResult:
-        profiler = host_profiler()
-        if profiler is not None:
-            # Start the probe's interval at the episode boundary so setup
-            # work is not billed to the first step's first phase.
-            profiler.sync()
         steps = 0
         for step in range(1, self.task.horizon + 1):
             self.env.tick()

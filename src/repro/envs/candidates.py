@@ -1,7 +1,7 @@
 """Incremental candidate enumeration keyed on belief deltas.
 
 Environment ``candidates()`` is one of the dominant per-step costs of the
-optimized episode loop (the ``planning/plan`` phase of ``REPRO_PROFILE``):
+optimized episode loop (the ``envs.candidates`` layer of perfbench's trace):
 every macro step rebuilds the full list of :class:`~repro.core.types.Candidate`
 / :class:`~repro.core.types.Subgoal` objects from scratch, even though an
 agent's beliefs — and therefore its affordances — change in only a few slots

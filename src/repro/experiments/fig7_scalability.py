@@ -9,11 +9,6 @@ Paper shapes to preserve:
   complexity) while latency scales mildly (one call per step);
 - decentralized: success rises then falls (collaboration dilution);
   latency explodes super-linearly (per-agent calls × growing dialogue).
-
-As the longest sweep in the suite, the CLI entry point defaults the
-process to the coarse clock (``REPRO_CLOCK=coarse``): this sweep reads
-only finalized aggregates, never per-span records, and coarse totals are
-byte-identical.  Set ``REPRO_CLOCK=span`` to force per-span recording.
 """
 
 from __future__ import annotations
@@ -21,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.report import format_series
-from repro.core.clock import default_to_coarse_for_sweeps
 from repro.experiments.common import ExperimentSettings, GridCell, measure_grid
 from repro.workloads.registry import get_workload
 
@@ -123,7 +117,6 @@ def render(result: Fig7Result) -> str:
 
 
 def main() -> None:
-    default_to_coarse_for_sweeps()
     print(render(run()))
 
 

@@ -39,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.report import checkmark, format_series, format_table
-from repro.core.clock import default_to_coarse_for_sweeps
 from repro.experiments.common import ExperimentSettings, GridCell, measure_grid
 from repro.optim import with_batching, with_continuous_serving
 from repro.workloads.registry import get_workload
@@ -213,7 +212,6 @@ def render(result: Fig8Result) -> str:
 
 
 def main() -> None:
-    default_to_coarse_for_sweeps()
     print(render(run()))
 
 

@@ -16,13 +16,8 @@ serial, parallel, and concurrent runs.
 Knob precedence: the ``--concurrent-sections`` flag wins over
 ``REPRO_SUITE_CONCURRENT``; trial count and executor come from
 ``ExperimentSettings`` defaults, i.e. ``REPRO_TRIALS`` / ``REPRO_WORKERS``
-unless a caller passes explicit settings.  Concurrent sections share one
-process, so they also share the (single-threaded) ``REPRO_PROFILE``
-probe — profile serial runs only.  As the repo's longest run, the CLI
-entry point defaults the process to the coarse clock (every section
-consumes only finalized aggregates; totals are byte-identical) —
-``REPRO_CLOCK=span`` forces per-span recording.  See
-docs/performance.md for the full knob table.
+unless a caller passes explicit settings.  See docs/performance.md for
+the full knob table.
 """
 
 from __future__ import annotations
@@ -33,7 +28,6 @@ from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.analysis.tables import render_table1, render_table2
-from repro.core.clock import default_to_coarse_for_sweeps
 from repro.core.envknobs import bool_knob
 from repro.experiments import (
     ablations,
@@ -167,7 +161,6 @@ def main(argv: list[str] | None = None) -> None:
         "(default follows REPRO_SUITE_CONCURRENT)",
     )
     args = parser.parse_args(argv)
-    default_to_coarse_for_sweeps()
     stopped: list[str] = []
     try:
         print(

@@ -64,7 +64,8 @@ class InferenceRequest:
 
     ``module`` / ``phase`` / ``agent`` / ``step`` are the attribution
     the issuing module previously applied by hand: the virtual-clock
-    span tag and the token-sample row this call must produce.  They are
+    ``(module, phase)`` charge and the token-sample row this call must
+    produce.  They are
     part of the request so the scheduler can reproduce the seed's
     accounting byte-for-byte in per-call mode and re-attribute latency
     in batched mode without asking the caller anything.

@@ -46,8 +46,8 @@ Three serving modes (``REPRO_SERVE``):
   the batch end by the recomputed shared latency (floored at the
   joiner's own prefill+decode service).  Requests that find the engine
   full wait, and that wait is charged through the clock
-  (:meth:`~repro.core.clock.SimClock.settle` ends each request's span at
-  its absolute completion), so ``batch_size`` caps now cost queueing
+  (:meth:`~repro.core.clock.SimClock.settle` ends each request's charge
+  at its absolute completion), so ``batch_size`` caps now cost queueing
   delay instead of splitting batches for free.  Per-request latency is
   attributed via ``MetricsCollector.record_served_request`` and surfaces
   as ``mean_queue_delay`` / ``mean_request_latency`` /
@@ -281,7 +281,7 @@ class InferenceScheduler:
             [item.result.prompt_tokens for item in items],
             [item.result.output_tokens for item in items],
         )
-        self._clock.advance(batch_latency, first.module, phase=first.phase, agent="batch")
+        self._clock.advance(batch_latency, first.module, phase=first.phase)
         for item in items:
             result = item.result
             if result.rounds > 1:
@@ -307,7 +307,7 @@ class InferenceScheduler:
         first arrival)``, admits every request already waiting (up to
         the occupancy cap), then accepts in-flight joins that arrive
         before it finishes.  Requests the cap excludes wait for the next
-        batch, and the wait is charged as part of their span — the
+        batch, and the wait is charged as part of their latency — the
         queueing cost ``batch_size`` never had under plain batching.
         """
         engines: dict[tuple, list[_Pending]] = {}
@@ -381,7 +381,6 @@ class InferenceScheduler:
                     completion - item.arrival,
                     request.module,
                     phase=request.phase,
-                    agent=request.agent,
                 )
                 self._metrics.record_served_request(
                     wait_seconds=admit - item.arrival,
@@ -393,6 +392,4 @@ class InferenceScheduler:
         return free_at
 
     def _charge(self, request: InferenceRequest, seconds: float) -> None:
-        self._clock.advance(
-            seconds, request.module, phase=request.phase, agent=request.agent
-        )
+        self._clock.advance(seconds, request.module, phase=request.phase)

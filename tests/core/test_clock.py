@@ -1,5 +1,7 @@
 """Tests for the virtual clock and latency attribution."""
 
+import os
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,40 +14,31 @@ class TestAdvance:
         clock.advance(2.5, ModuleName.PLANNING)
         assert clock.now == pytest.approx(2.5)
 
-    def test_advance_records_span(self, clock):
-        span = clock.advance(1.0, ModuleName.SENSING, phase="vit", agent="a0")
-        assert span.module is ModuleName.SENSING
-        assert span.phase == "vit"
-        assert span.agent == "a0"
-        assert span.start == 0.0
-        assert span.end == pytest.approx(1.0)
+    def test_advance_attributes_module_and_phase(self, clock):
+        assert clock.advance(1.0, ModuleName.SENSING, phase="vit") is None
+        assert clock.now == pytest.approx(1.0)
+        assert clock.elapsed_by_module() == {ModuleName.SENSING: 1.0}
+        assert clock.elapsed_by_phase() == {(ModuleName.SENSING, "vit"): 1.0}
 
     def test_negative_duration_rejected(self, clock):
         with pytest.raises(ValueError):
             clock.advance(-0.1, ModuleName.MEMORY)
+        assert clock.now == 0.0
+        assert clock.elapsed_by_module() == {}
+        assert clock.elapsed_by_phase() == {}
 
     def test_zero_duration_allowed(self, clock):
         clock.advance(0.0, ModuleName.MEMORY)
         assert clock.now == 0.0
-        assert len(clock.spans) == 1
-
-    def test_wait_moves_time_without_span(self, clock):
-        clock.wait(3.0)
-        assert clock.now == pytest.approx(3.0)
-        assert clock.spans == []
-
-    def test_wait_negative_rejected(self, clock):
-        with pytest.raises(ValueError):
-            clock.wait(-1.0)
+        assert clock.elapsed_by_module() == {ModuleName.MEMORY: 0.0}
 
 
 class TestSettle:
     def test_future_completion_moves_the_clock(self, clock):
         clock.advance(1.0, ModuleName.PLANNING)
-        span = clock.settle(5.0, 3.0, ModuleName.PLANNING, phase="plan", agent="a0")
+        assert clock.settle(5.0, 3.0, ModuleName.PLANNING, phase="plan") is None
         assert clock.now == pytest.approx(5.0)
-        assert span.start == pytest.approx(2.0)
-        assert span.duration == pytest.approx(3.0)
+        assert clock.elapsed_by_phase()[(ModuleName.PLANNING, "plan")] == pytest.approx(3.0)
 
     def test_past_completion_leaves_now_alone(self, clock):
         """A request that finished before `now` overlapped already-charged
@@ -58,16 +51,6 @@ class TestSettle:
     def test_negative_duration_rejected(self, clock):
         with pytest.raises(ValueError):
             clock.settle(1.0, -0.1, ModuleName.PLANNING)
-
-    def test_coarse_mode_sums_identically(self):
-        from repro.core.clock import override_coarse
-
-        with override_coarse(True):
-            coarse = SimClock()
-        assert coarse.settle(5.0, 3.0, ModuleName.PLANNING, phase="p") is None
-        assert coarse.now == pytest.approx(5.0)
-        assert coarse.elapsed_by_module()[ModuleName.PLANNING] == pytest.approx(3.0)
-        assert coarse.elapsed_by_phase()[(ModuleName.PLANNING, "p")] == pytest.approx(3.0)
 
     def test_inside_parallel_scope_extends_the_front(self, clock):
         clock.advance(2.0, ModuleName.EXECUTION)
@@ -120,6 +103,37 @@ class TestAttribution:
         assert totals[ModuleName.PLANNING] == pytest.approx(3.0)
         assert totals[ModuleName.EXECUTION] == pytest.approx(0.5)
 
+    def test_first_arrival_insertion_order(self, clock):
+        """Sums keep the order each key was first charged — reports that
+        iterate the dicts depend on it."""
+        clock.advance(1.0, ModuleName.PLANNING, phase="plan")
+        clock.advance(0.5, ModuleName.PLANNING, phase="plan")
+        clock.advance(2.0, ModuleName.MEMORY, phase="retrieve")
+        clock.settle(9.0, 1.0, ModuleName.SENSING, phase="vit")
+        clock.advance(0.25, ModuleName.PLANNING, phase="replan")
+        assert list(clock.elapsed_by_module()) == [
+            ModuleName.PLANNING,
+            ModuleName.MEMORY,
+            ModuleName.SENSING,
+        ]
+        assert list(clock.elapsed_by_phase()) == [
+            (ModuleName.PLANNING, "plan"),
+            (ModuleName.MEMORY, "retrieve"),
+            (ModuleName.SENSING, "vit"),
+            (ModuleName.PLANNING, "replan"),
+        ]
+
+    def test_sums_accumulate_in_arrival_order(self, clock):
+        """Float sums are order-sensitive; the clock adds in call order."""
+        durations = (0.1, 0.2, 0.3, 1e-17, 0.7)
+        for duration in durations:
+            clock.advance(duration, ModuleName.PLANNING, phase="plan")
+        expected = 0.0
+        for duration in durations:
+            expected += duration
+        assert clock.elapsed_by_module()[ModuleName.PLANNING] == expected
+        assert clock.elapsed_by_phase()[(ModuleName.PLANNING, "plan")] == expected
+
     def test_elapsed_by_phase(self, clock):
         clock.advance(1.0, ModuleName.PLANNING, phase="llm")
         clock.advance(2.0, ModuleName.PLANNING, phase="retry")
@@ -139,10 +153,11 @@ class TestAttribution:
 class TestParallel:
     def test_parallel_takes_max(self, clock):
         with clock.parallel():
-            clock.advance(2.0, ModuleName.SENSING, agent="a")
-            clock.advance(5.0, ModuleName.SENSING, agent="b")
-            clock.advance(1.0, ModuleName.SENSING, agent="c")
+            clock.advance(2.0, ModuleName.SENSING)
+            clock.advance(5.0, ModuleName.SENSING)
+            clock.advance(1.0, ModuleName.SENSING)
         assert clock.now == pytest.approx(5.0)
+        assert clock.elapsed_by_module() == {ModuleName.SENSING: 8.0}
 
     def test_parallel_preserves_full_attribution(self, clock):
         with clock.parallel():
@@ -173,11 +188,22 @@ class TestParallel:
 
 class TestReset:
     def test_reset_clears_everything(self, clock):
-        clock.advance(1.0, ModuleName.PLANNING)
+        clock.advance(1.0, ModuleName.PLANNING, phase="plan")
+        clock.advance(2.0, ModuleName.MEMORY, phase="retrieve")
         clock.reset()
         assert clock.now == 0.0
-        assert clock.spans == []
         assert clock.elapsed_by_module() == {}
+        assert clock.elapsed_by_phase() == {}
+
+
+class TestSweepShim:
+    def test_is_a_no_op(self):
+        """Sweeps no longer pick a clock mode, nor export one to workers."""
+        from repro.core.clock import default_to_coarse_for_sweeps
+
+        before = dict(os.environ)
+        assert default_to_coarse_for_sweeps() is None
+        assert dict(os.environ) == before
 
 
 class TestConstants:
@@ -188,53 +214,3 @@ class TestConstants:
         assert LLM_MODULES <= set(ModuleName)
         assert ModuleName.PLANNING in LLM_MODULES
         assert ModuleName.EXECUTION not in LLM_MODULES
-
-
-class TestHostProfiler:
-    def test_disabled_by_default(self):
-        from repro.core.clock import host_profiler
-
-        assert host_profiler() is None
-
-    def test_marks_attributed_to_module_and_phase(self, clock):
-        from repro.core.clock import enable_host_profiling, host_profiler
-
-        profiler = enable_host_profiling(True)
-        try:
-            profiler.reset()
-            clock.advance(1.0, ModuleName.PLANNING, phase="plan")
-            clock.advance(0.5, ModuleName.MEMORY, phase="retrieve")
-            clock.advance(0.25, ModuleName.PLANNING, phase="plan")
-            snapshot = profiler.snapshot()
-            assert snapshot[("planning", "plan")][1] == 2
-            assert snapshot[("memory", "retrieve")][1] == 1
-            assert all(seconds >= 0.0 for seconds, _marks in snapshot.values())
-        finally:
-            enable_host_profiling(False)
-        assert host_profiler() is None
-
-    def test_virtual_clock_untouched_by_probe(self, clock):
-        from repro.core.clock import enable_host_profiling
-
-        enable_host_profiling(True)
-        try:
-            clock.advance(2.0, ModuleName.EXECUTION)
-        finally:
-            enable_host_profiling(False)
-        assert clock.now == pytest.approx(2.0)
-        assert len(clock.spans) == 1
-
-    def test_report_formatting(self, clock):
-        from repro.core.clock import enable_host_profiling
-        from repro.core.metrics import host_profile_report
-
-        assert host_profile_report() is None
-        enable_host_profiling(True)
-        try:
-            clock.advance(1.0, ModuleName.PLANNING, phase="plan")
-            report = host_profile_report()
-        finally:
-            enable_host_profiling(False)
-        assert report is not None
-        assert "planning/plan" in report
-        assert "marks" in report

@@ -13,7 +13,6 @@ invalidate when the world moves.
 
 from __future__ import annotations
 
-import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,7 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import clock as clock_mod
+from conftest import record_charges
+
 from repro.core import hotpath
 from repro.core.agent import EmbodiedAgent, PerceptionBundle
 from repro.core.beliefs import Beliefs
@@ -88,13 +88,15 @@ class TestStagedMemoryWrites:
         ]
         with hotpath.override(True):
             inline = _memory()
+            inline_charges = record_charges(inline.context.clock)
             for message in messages:
                 inline.store_message(message)
             staged = _memory()
+            staged_charges = record_charges(staged.context.clock)
             for message in messages:
                 staged.stage_message(message)
             staged.commit_staged_messages()
-            assert staged.context.clock.spans == inline.context.clock.spans
+            assert staged_charges == inline_charges
             inline.context.set_step(3)
             staged.context.set_step(3)
             assert staged.retrieve(3) == inline.retrieve(3)
@@ -169,10 +171,11 @@ def _stack(fast: bool, capacity: int):
     with hotpath.override(fast):
         for name in _RECEIVERS:
             memory = None
+            clock = SimClock()
             if name != _MEMORYLESS:
                 context = ModuleContext(
                     agent=name,
-                    clock=SimClock(),
+                    clock=clock,
                     metrics=MetricsCollector(workload="test", horizon=50),
                     rng=np.random.default_rng(5),
                 )
@@ -180,7 +183,10 @@ def _stack(fast: bool, capacity: int):
                     context, capacity_steps=capacity, static_facts=[], dual=False
                 )
             agents[name] = SimpleNamespace(
-                name=name, memory=memory, state=SimpleNamespace(step_dialogue=[])
+                name=name,
+                memory=memory,
+                state=SimpleNamespace(step_dialogue=[]),
+                charges=record_charges(clock),
             )
             bundles[name] = PerceptionBundle(
                 observation=None,
@@ -290,11 +296,7 @@ class TestDeliveryPathsAgree:
                     == inline.memory.dialogue_window(step)
                     == ref.memory.dialogue_window(step)
                 )
-                assert (
-                    staged.memory.context.clock.spans
-                    == inline.memory.context.clock.spans
-                    == ref.memory.context.clock.spans
-                )
+                assert staged.charges == inline.charges == ref.charges
 
 
 class TestDetectorStreamIdentity:
@@ -370,38 +372,6 @@ class TestPositionStaging:
             ref_obs = ref_env.observation(agent, _facts(1, 2))
             assert fast_obs.position == ref_obs.position
             assert fast_obs.visible_agents == ref_obs.visible_agents
-
-
-class TestCoarseSweepDefault:
-    def _restore(self, previous_env: str | None, previous_flag: bool):
-        if previous_env is None:
-            os.environ.pop("REPRO_CLOCK", None)
-        else:
-            os.environ["REPRO_CLOCK"] = previous_env
-        clock_mod.set_coarse(previous_flag)
-
-    def test_defaults_to_coarse_when_unset(self):
-        previous_env = os.environ.pop("REPRO_CLOCK", None)
-        previous_flag = clock_mod.coarse_enabled()
-        try:
-            clock_mod.set_coarse(False)
-            assert clock_mod.default_to_coarse_for_sweeps() is True
-            assert os.environ["REPRO_CLOCK"] == "coarse"  # workers inherit
-            assert clock_mod.coarse_enabled()
-        finally:
-            self._restore(previous_env, previous_flag)
-
-    def test_explicit_span_mode_wins(self):
-        previous_env = os.environ.get("REPRO_CLOCK")
-        previous_flag = clock_mod.coarse_enabled()
-        try:
-            os.environ["REPRO_CLOCK"] = "span"
-            clock_mod.set_coarse(False)
-            assert clock_mod.default_to_coarse_for_sweeps() is False
-            assert os.environ["REPRO_CLOCK"] == "span"
-            assert not clock_mod.coarse_enabled()
-        finally:
-            self._restore(previous_env, previous_flag)
 
 
 class TestComposePayloadStaging:

@@ -88,17 +88,6 @@ class TestAdopters:
         monkeypatch.delenv("REPRO_HOTPATH")
         assert _from_env() is True
 
-    def test_clock_rejects_junk(self, monkeypatch):
-        from repro.core.clock import _coarse_from_env
-
-        monkeypatch.setenv("REPRO_CLOCK", "granular")
-        with pytest.raises(ValueError, match="REPRO_CLOCK"):
-            _coarse_from_env()
-        monkeypatch.setenv("REPRO_CLOCK", "coarse")
-        assert _coarse_from_env() is True
-        monkeypatch.setenv("REPRO_CLOCK", "span")
-        assert _coarse_from_env() is False
-
     def test_suite_concurrent(self, monkeypatch):
         from repro.experiments.suite import concurrent_sections_from_env
 

@@ -7,7 +7,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core import clock
 from repro.core.errors import BudgetExceededError, TrialExecutionError
 from repro.core.executor import ParallelExecutor, SerialExecutor
 from repro.core.fleet import (
@@ -78,23 +77,10 @@ class TestFingerprints:
             "REPRO_TRIALS",
             "REPRO_SHARDS",
             "REPRO_LEDGER",
-            "REPRO_CLOCK",
         ):
             assert knob in EXECUTION_KNOBS
             monkeypatch.setenv(knob, "9")
         assert job_fingerprint(job) == before
-
-    @pytest.mark.parametrize("system, n_agents", [("jarvis-1", None), ("coela", 3)])
-    def test_clock_mode_leaves_results_pickle_identical(self, system, n_agents):
-        """The premise of ``REPRO_CLOCK`` being an execution knob: span and
-        coarse mode restore each other's ledger records exactly."""
-        config = get_workload(system).config
-        jobs = trial_jobs(config, 1, difficulty="easy", n_agents=n_agents, base_seed=3)
-        with clock.override_coarse(True):
-            coarse = SerialExecutor().run_jobs(jobs)
-        with clock.override_coarse(False):
-            span = SerialExecutor().run_jobs(jobs)
-        assert pickle.dumps(coarse) == pickle.dumps(span)
 
     def test_detector_mode_selectors_invalidate(self, monkeypatch):
         """Both ways of selecting the vector detector change the result, so

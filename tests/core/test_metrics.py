@@ -22,7 +22,7 @@ def build_result(
     clock = SimClock()
     clock.advance(planning, ModuleName.PLANNING)
     clock.advance(execution, ModuleName.EXECUTION)
-    clock.wait(sim_seconds - planning - execution)
+    clock.now += sim_seconds - planning - execution  # unattributed env time
     collector.record_llm_call(1, "a0", "plan", 500, 130)
     collector.record_fault(FaultKind.SUBOPTIMAL)
     for _ in range(messages[0]):

@@ -11,6 +11,8 @@ charge.
 import numpy as np
 import pytest
 
+from conftest import record_charges
+
 from repro.core.clock import ModuleName, SimClock
 from repro.core.metrics import MetricsCollector
 from repro.core.types import Candidate, Subgoal
@@ -116,14 +118,10 @@ class TestPercall:
     def test_charges_and_records_like_the_seed(self):
         """Per-call submit == advance + record_llm_call + record_fault."""
         clock, metrics, scheduler, llm = make_parts("percall", seed=5)
+        charges = record_charges(clock)
         result = scheduler.submit(llm, plan_request())
         assert clock.now == result.latency
-        span = clock.spans[-1]
-        assert (span.module, span.phase, span.agent) == (
-            ModuleName.PLANNING,
-            "plan",
-            "agent_0",
-        )
+        assert charges == [(ModuleName.PLANNING, "plan", 0.0, result.latency)]
         assert metrics.llm_calls == 1
         sample = metrics.token_samples[0]
         assert (sample.step, sample.agent, sample.purpose) == (3, "agent_0", "plan")
@@ -185,6 +183,7 @@ class TestBatched:
         """
         profile = compliant_profile()
         clock, metrics, scheduler, llm = make_parts("batched", profile=profile)
+        charges = record_charges(clock)
         words = (30, 45, 60, 75)
         requests = [
             plan_request(words=w, agent=f"a{i}") for i, w in enumerate(words)
@@ -198,8 +197,8 @@ class TestBatched:
             [OUTPUT_TOKENS["plan"]] * len(results),
         )
         assert clock.now == old_path_latency
-        span = clock.spans[-1]
-        assert span.agent == "batch" and span.module is ModuleName.PLANNING
+        # One charge for the whole batch, not one per request.
+        assert charges == [(ModuleName.PLANNING, "plan", 0.0, old_path_latency)]
         assert metrics.serve_batches == 1
         assert metrics.serve_batched_requests == len(words)
 
@@ -215,11 +214,15 @@ class TestBatched:
     def test_groups_split_by_phase_and_purpose(self):
         """Different phases/purposes never share a batch."""
         clock, metrics, scheduler, llm = make_parts("batched", profile=compliant_profile())
+        charges = record_charges(clock)
         scheduler.submit(llm, plan_request(agent="a0", phase="plan"))
         scheduler.submit(llm, plan_request(agent="a1", phase="replan"))
         scheduler.flush()
         assert metrics.serve_batches == 2
-        assert [span.agent for span in clock.spans] == ["a0", "a1"]
+        assert [(module, phase) for module, phase, _, _ in charges] == [
+            (ModuleName.PLANNING, "plan"),
+            (ModuleName.PLANNING, "replan"),
+        ]
 
     def test_deployment_batch_size_caps_occupancy(self):
         profile = compliant_profile()
@@ -335,7 +338,7 @@ class TestContinuous:
         profile = compliant_profile()
         clock, metrics, scheduler, llm = make_parts("continuous", profile=profile)
         first = scheduler.submit(llm, plan_request(words=50, agent="a0"))
-        clock.wait(0.5)  # engine is mid-batch when the next one arrives
+        clock.now += 0.5  # engine is mid-batch when the next one arrives
         second = scheduler.submit(llm, plan_request(words=50, agent="a1"))
         scheduler.flush(final=True)
         assert metrics.serve_batches == 1
