@@ -52,6 +52,21 @@ class TestSettle:
         with pytest.raises(ValueError):
             clock.settle(1.0, -0.1, ModuleName.PLANNING)
 
+    def test_coarse_mode_sums_identically(self):
+        """The running-sums clock (formerly the coarse mode, now the only
+        one) charges a settle to both sums exactly as an advance would."""
+        settled, advanced = SimClock(), SimClock()
+        assert settled.settle(5.0, 3.0, ModuleName.PLANNING, phase="p") is None
+        advanced.advance(2.0, ModuleName.EXECUTION)
+        advanced.advance(3.0, ModuleName.PLANNING, phase="p")
+        assert settled.now == pytest.approx(5.0) == advanced.now
+        assert settled.elapsed_by_module()[ModuleName.PLANNING] == pytest.approx(3.0)
+        assert settled.elapsed_by_phase()[(ModuleName.PLANNING, "p")] == pytest.approx(3.0)
+        assert (
+            settled.elapsed_by_phase()[(ModuleName.PLANNING, "p")]
+            == advanced.elapsed_by_phase()[(ModuleName.PLANNING, "p")]
+        )
+
     def test_inside_parallel_scope_extends_the_front(self, clock):
         clock.advance(2.0, ModuleName.EXECUTION)
         with clock.parallel():

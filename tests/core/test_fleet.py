@@ -82,6 +82,21 @@ class TestFingerprints:
             monkeypatch.setenv(knob, "9")
         assert job_fingerprint(job) == before
 
+    @pytest.mark.parametrize("system, n_agents", [("jarvis-1", None), ("coela", 3)])
+    def test_clock_mode_leaves_results_pickle_identical(self, system, n_agents, monkeypatch):
+        """There is one clock mode: a ``REPRO_CLOCK`` value left in the
+        environment by an older setup changes no result byte."""
+        config = get_workload(system).config
+        jobs = trial_jobs(config, 1, difficulty="easy", n_agents=n_agents, base_seed=3)
+        monkeypatch.delenv("REPRO_CLOCK", raising=False)
+        unset = SerialExecutor().run_jobs(jobs)
+        results = {}
+        for mode in ("coarse", "span"):
+            monkeypatch.setenv("REPRO_CLOCK", mode)
+            results[mode] = SerialExecutor().run_jobs(jobs)
+        assert pickle.dumps(results["coarse"]) == pickle.dumps(unset)
+        assert pickle.dumps(results["span"]) == pickle.dumps(unset)
+
     def test_detector_mode_selectors_invalidate(self, monkeypatch):
         """Both ways of selecting the vector detector change the result, so
         both must change the fingerprint: a ledgered vector run may never

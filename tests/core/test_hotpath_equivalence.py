@@ -67,6 +67,23 @@ class TestGridEquivalence:
             optimized = measure_grid(GRID, SETTINGS)
         assert optimized == reference
 
+    def test_coarse_clock_aggregates_byte_identical(self, monkeypatch):
+        """Running-sums clock + full optimized path == reference bytes.
+
+        The clock keeps only per-module and per-phase sums (what the old
+        ``REPRO_CLOCK=coarse`` mode did); with the candidate cache and the
+        behaviour scoreboard active too, the seed aggregates must still be
+        reproduced exactly, and a ``REPRO_CLOCK`` value left in the
+        environment by an older setup must select nothing.
+        """
+        monkeypatch.delenv("REPRO_CLOCK", raising=False)
+        with hotpath.override(False):
+            reference = measure_grid(GRID, SETTINGS)
+        monkeypatch.setenv("REPRO_CLOCK", "span")
+        with hotpath.override(True):
+            coarse = measure_grid(GRID, SETTINGS)
+        assert coarse == reference
+
     def test_candidate_cache_actually_engages(self):
         """Guard against the cache silently disabling itself.
 
