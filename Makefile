@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-hotpath bench-comm bench-planning bench-serving bench-fleet bench-all lint format suite docs-check resume-smoke fleet-drill
+.PHONY: test bench bench-hotpath bench-comm bench-planning bench-serving bench-fleet bench-all lint format suite docs-check resume-smoke fleet-drill suite-identity
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -86,3 +86,10 @@ format:
 
 suite:
 	$(PYTHON) -m repro.experiments.suite
+
+# The suite report at REPRO_TRIALS=1 run five ways (serial, 2 workers,
+# fresh ledger, resumed ledger, partitioned budget), compared section by
+# section with tests/experiments/goldens/GOLDEN_suite_trials1.json.
+# REPRO_REGEN_GOLDENS=1 rewrites the golden.
+suite-identity:
+	$(PYTHON) scripts/suite_identity.py
