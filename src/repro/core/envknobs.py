@@ -7,7 +7,7 @@ empty/unset always means "use the default", and malformed values raise a
 
 Adopters: ``REPRO_TRIALS`` / ``REPRO_WORKERS`` / ``REPRO_SERVE_CAP``
 (:func:`int_knob`, via ``experiments/common.py`` and the serving layer),
-``REPRO_HOTPATH`` / ``REPRO_SUITE_CONCURRENT`` / ``REPRO_OVERLAP``
+``REPRO_HOTPATH`` / ``REPRO_BUDGET_PARTITION`` / ``REPRO_OVERLAP``
 (:func:`bool_knob`), ``REPRO_SERVE`` / ``REPRO_DETECTOR``
 (:func:`choice_knob`), ``REPRO_LEASE_SECONDS`` /
 ``REPRO_FLUSH_SECONDS`` / ``REPRO_FLEET_POLL`` (:func:`float_knob`, via

@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import atexit
 import os
-import threading
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Iterable, Iterator
 from concurrent import futures
@@ -217,16 +216,11 @@ class ParallelExecutor(TrialExecutor):
         self.max_workers = max_workers or default_worker_count()
         self._runner = job_runner
         self._pool: futures.ProcessPoolExecutor | None = None
-        # run_jobs may be called from several threads at once (suite
-        # --concurrent-sections); guard pool creation so only one pool
-        # of workers ever exists per executor.
-        self._lock = threading.Lock()
 
     def _ensure_pool(self) -> futures.ProcessPoolExecutor:
-        with self._lock:
-            if self._pool is None:
-                self._pool = futures.ProcessPoolExecutor(max_workers=self.max_workers)
-            return self._pool
+        if self._pool is None:
+            self._pool = futures.ProcessPoolExecutor(max_workers=self.max_workers)
+        return self._pool
 
     def run_stream(
         self, jobs: Iterable[TrialJob], window: int | None = None
@@ -284,10 +278,9 @@ class ParallelExecutor(TrialExecutor):
                 future.cancel()
 
     def close(self) -> None:
-        with self._lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=False, cancel_futures=True)
-                self._pool = None
+        if self._pool is not None:
+            self._pool.shutdown(wait=False, cancel_futures=True)
+            self._pool = None
 
 
 def make_executor(kind: str, max_workers: int | None = None) -> TrialExecutor:
@@ -300,7 +293,6 @@ def make_executor(kind: str, max_workers: int | None = None) -> TrialExecutor:
 
 
 _SHARED: dict[tuple[str, int], TrialExecutor] = {}
-_SHARED_LOCK = threading.Lock()
 
 
 def _shared_key(kind: str, max_workers: int | None) -> tuple[str, int]:
@@ -321,23 +313,19 @@ def get_executor(kind: str, max_workers: int | None = None) -> TrialExecutor:
 
     Parallel executors own a process pool, so experiment helpers share
     one instance per configuration rather than re-forking workers for
-    every cell of a sweep.  Thread-safe (concurrent suite sections
-    resolve their executor through here); pools are shut down at
-    interpreter exit.
+    every cell of a sweep.  Pools are shut down at interpreter exit.
     """
     key = _shared_key(kind, max_workers)
-    with _SHARED_LOCK:
-        if key not in _SHARED:
-            _SHARED[key] = make_executor(key[0], max_workers=key[1])
-        return _SHARED[key]
+    if key not in _SHARED:
+        _SHARED[key] = make_executor(key[0], max_workers=key[1])
+    return _SHARED[key]
 
 
 def shutdown_shared_executors() -> None:
     """Close every cached executor (used by tests and atexit)."""
-    with _SHARED_LOCK:
-        for executor in _SHARED.values():
-            executor.close()
-        _SHARED.clear()
+    for executor in _SHARED.values():
+        executor.close()
+    _SHARED.clear()
 
 
 atexit.register(shutdown_shared_executors)

@@ -28,8 +28,9 @@ size cannot do without:
   ledger-wide token spend, and when the cap trips the runner stops
   *admitting* new jobs, drains what is in flight (persisting it), and
   raises :class:`~repro.core.errors.BudgetExceededError` with a
-  partial-ledger report.  :func:`budget_scope` partitions one budget
-  across suite sections so a runaway figure cannot starve the rest.
+  partial-ledger report.  A per-wave budget (``fleet_from_env(
+  wave_budget=...)``) partitions one budget across suite sections so a
+  runaway figure cannot starve the rest.
 
 The ledger I/O is built for real N-process contention:
 
@@ -86,13 +87,11 @@ import hashlib
 import json
 import os
 import pickle
-import threading
 import time
 import zlib
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from repro.core.envknobs import float_knob, int_knob, raw_knob
 from repro.core.errors import BudgetExceededError
@@ -114,7 +113,6 @@ EXECUTION_KNOBS = frozenset(
     {
         "REPRO_WORKERS",
         "REPRO_TRIALS",
-        "REPRO_SUITE_CONCURRENT",
         "REPRO_LEDGER",
         "REPRO_SHARDS",
         "REPRO_SHARD_ID",
@@ -627,46 +625,13 @@ class JobLedger:
         self._garbage = 0
 
 
-# ---------------------------------------------------------------------- #
-# Budget partitioning
-# ---------------------------------------------------------------------- #
-
-_BUDGET_SCOPE = threading.local()
-
-
-@contextmanager
-def budget_scope(tokens: int) -> Iterator[None]:
-    """Run the calling thread's fleet dispatches under a *wave* budget.
-
-    Inside the scope, :func:`fleet_from_env` builds runners whose budget
-    is ``tokens`` and whose spend accounting covers only the jobs of the
-    current ``run_jobs`` call (restored + executed) rather than the
-    whole ledger — the per-figure partitioning the suite uses so one
-    runaway section exhausts its own share instead of starving every
-    other section's admission.  Thread-local and reentrant (the inner
-    scope wins); no effect while ``REPRO_LEDGER`` is unset.
-    """
-    if tokens < 1:
-        raise ValueError(f"budget_scope tokens must be >= 1: {tokens}")
-    previous = getattr(_BUDGET_SCOPE, "tokens", None)
-    _BUDGET_SCOPE.tokens = tokens
-    try:
-        yield
-    finally:
-        _BUDGET_SCOPE.tokens = previous
-
-
-def _scoped_budget() -> int | None:
-    return getattr(_BUDGET_SCOPE, "tokens", None)
-
-
 class FleetRunner:
     """Dispatch trial jobs through a ledger with sharding and budgets.
 
     One instance per :func:`fleet_from_env` call; stateless between
     ``run_jobs`` calls except for the ledger file itself, so suite
-    sections (possibly on concurrent threads) can each resolve their own
-    runner against one shared ledger.
+    sections can each resolve their own runner against one shared
+    ledger.
 
     ``budget_scope`` selects what the token budget meters: ``"ledger"``
     (the default) counts every done record on the shared ledger —
@@ -926,23 +891,36 @@ class FleetRunner:
         return "\n".join(lines)
 
 
-def fleet_from_env() -> FleetRunner | None:
+def fleet_from_env(wave_budget: int | None = None) -> FleetRunner | None:
     """The fleet runner the environment selects, or ``None`` when off.
 
     ``REPRO_LEDGER`` (a JSONL path) turns the layer on; ``REPRO_SHARDS``
     / ``REPRO_SHARD_ID`` select this process's partition;
-    ``REPRO_BUDGET_TOKENS`` caps ledger-wide token spend (0 = no cap,
-    and an active :func:`budget_scope` overrides it with a per-wave
-    share); ``REPRO_LEASE_SECONDS`` / ``REPRO_FLEET_POLL`` tune work
-    stealing; ``REPRO_FLUSH_SECONDS`` / ``REPRO_COMPACT_RECORDS`` tune
-    ledger I/O batching and compaction.  Read at every call so tests and
+    ``REPRO_BUDGET_TOKENS`` caps ledger-wide token spend (0 = no cap);
+    ``REPRO_LEASE_SECONDS`` / ``REPRO_FLEET_POLL`` tune work stealing;
+    ``REPRO_FLUSH_SECONDS`` / ``REPRO_COMPACT_RECORDS`` tune ledger I/O
+    batching and compaction.  Read at every call so tests and
     long-lived processes can retarget ledgers without rebuilding
     settings objects.
+
+    ``wave_budget`` (the suite's per-section token share) replaces the
+    ledger-wide budget with one that meters only each ``run_jobs``
+    call's own jobs.  A budget or shard layout without a ledger raises
+    ``ValueError`` rather than running uncapped or unsharded.
     """
+    if wave_budget is not None and wave_budget < 1:
+        raise ValueError(f"wave_budget must be >= 1: {wave_budget}")
     path = raw_knob("REPRO_LEDGER")
-    if not path:
-        return None
     shards = int_knob("REPRO_SHARDS", 1)
+    budget_tokens = int_knob("REPRO_BUDGET_TOKENS", 0, minimum=0)
+    if not path:
+        if budget_tokens or shards > 1:
+            knob = "REPRO_BUDGET_TOKENS" if budget_tokens else "REPRO_SHARDS"
+            raise ValueError(
+                f"{knob} is set but REPRO_LEDGER is not: budgets and shards "
+                "need a ledger"
+            )
+        return None
     shard_id = int_knob("REPRO_SHARD_ID", 0, minimum=0)
     if shard_id >= shards:
         raise ValueError(
@@ -955,20 +933,14 @@ def fleet_from_env() -> FleetRunner | None:
             "REPRO_COMPACT_RECORDS", DEFAULT_COMPACT_RECORDS, minimum=0
         ),
     )
-    scoped = _scoped_budget()
-    if scoped is not None:
-        budget_tokens, scope = scoped, "wave"
-    else:
-        budget_tokens = int_knob("REPRO_BUDGET_TOKENS", 0, minimum=0)
-        scope = "ledger"
     return FleetRunner(
         ledger,
         shards=shards,
         shard_id=shard_id,
-        budget_tokens=budget_tokens,
+        budget_tokens=budget_tokens if wave_budget is None else wave_budget,
         lease_seconds=float_knob("REPRO_LEASE_SECONDS", DEFAULT_LEASE_SECONDS),
         poll_seconds=float_knob("REPRO_FLEET_POLL", DEFAULT_POLL_SECONDS),
-        budget_scope=scope,
+        budget_scope="ledger" if wave_budget is None else "wave",
     )
 
 

@@ -41,7 +41,6 @@ enumeration, a re-scoring, and a re-render.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from typing import Callable, NamedTuple, Sequence
 
@@ -245,41 +244,36 @@ def extract_features(candidates: Sequence[Candidate]) -> CandidateFeatures:
     )
 
 
-class _FeatureMemo:
-    """Bounded identity-keyed memo: candidate tuple -> features.
+class IdentityMemo:
+    """Bounded identity-keyed memo: candidate tuple -> derived value.
 
     The environment candidate cache returns the same tuple object while
-    an agent's affordances are unchanged, so features can be reused by
-    object identity (id lookup plus an ``is`` check).  Entries pin their
-    key tuple — ids cannot be recycled while cached — and features are
-    immutable, so sharing across the scoreboard and the prompt builder
-    is safe.  A lock guards the map for the suite's threaded
-    ``--concurrent-sections`` mode.
+    an agent's affordances are unchanged, so anything derived from the
+    tuple (its features here, its rendered prompt section in
+    :mod:`repro.llm.prompt`) can be reused by object identity: an id
+    lookup plus an ``is`` check, no hashing of candidate values.
+    Entries pin their key tuple — ids cannot be recycled while cached —
+    and the values are immutable, so sharing them is safe.
     """
 
     def __init__(self, capacity: int = 256) -> None:
-        self._entries: OrderedDict[
-            int, tuple[tuple[Candidate, ...], CandidateFeatures]
-        ] = OrderedDict()
+        self._entries: OrderedDict[int, tuple[object, object]] = OrderedDict()
         self._capacity = capacity
-        self._lock = threading.Lock()
 
-    def get(self, key_obj: tuple[Candidate, ...]) -> CandidateFeatures | None:
-        with self._lock:
-            entry = self._entries.get(id(key_obj))
-            if entry is None or entry[0] is not key_obj:
-                return None
-            self._entries.move_to_end(id(key_obj))
-            return entry[1]
+    def get(self, key_obj: object) -> object | None:
+        entry = self._entries.get(id(key_obj))
+        if entry is None or entry[0] is not key_obj:
+            return None
+        self._entries.move_to_end(id(key_obj))
+        return entry[1]
 
-    def put(self, key_obj: tuple[Candidate, ...], features: CandidateFeatures) -> None:
-        with self._lock:
-            self._entries[id(key_obj)] = (key_obj, features)
-            if len(self._entries) > self._capacity:
-                self._entries.popitem(last=False)
+    def put(self, key_obj: object, value: object) -> None:
+        self._entries[id(key_obj)] = (key_obj, value)
+        if len(self._entries) > self._capacity:
+            self._entries.popitem(last=False)
 
 
-_FEATURES = _FeatureMemo()
+_FEATURES = IdentityMemo()
 
 
 def candidate_features(candidates: tuple[Candidate, ...]) -> CandidateFeatures:

@@ -20,18 +20,16 @@ they finish, restarts skip them, shards split the wave, and
 ``REPRO_BUDGET_TOKENS`` caps admission.  With the knob unset the wave
 goes straight to the settings' executor, exactly as before.
 
-Per-deployment token spend flows from every episode into the section's
-:class:`CostMeter` (thread-local, so ``--concurrent-sections`` keeps
-each figure's bill separate), which the suite renders as a cost footer
-per figure.
+The suite hands each report section its own :class:`Section` on the
+settings: per-deployment token spend flows from every episode the
+section dispatches into its :class:`CostMeter`, which the suite renders
+as a cost footer per figure, and under budget partitioning the
+section's token share caps its fleet waves.
 """
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from repro.core.config import SystemConfig
 from repro.core.envknobs import int_knob
@@ -71,6 +69,9 @@ class ExperimentSettings:
     executor: str = field(default_factory=executor_from_env)
     #: Worker processes for the parallel executor (ignored when serial).
     max_workers: int = field(default_factory=workers_from_env)
+    #: The suite section these settings run for: its cost meter and
+    #: budget share.  ``None`` outside the suite.
+    section: Section | None = None
 
     def __post_init__(self) -> None:
         if self.executor not in EXECUTOR_KINDS:
@@ -93,11 +94,11 @@ class ExperimentSettings:
 class CostMeter:
     """Per-deployment token totals for one report section.
 
-    Every episode dispatched while a meter is active (see
-    :func:`metered`) contributes its ``deployment_tokens``; the suite
-    renders the totals as a cost footer per figure.  Token counts are
-    seeded and deterministic, so — unlike wall-clock timing lines — the
-    footer is byte-identical across serial, parallel, and resumed runs.
+    Every episode dispatched under the :class:`Section` holding the
+    meter contributes its ``deployment_tokens``; the suite renders the
+    totals as a cost footer per figure.  Token counts are seeded and
+    deterministic, so — unlike wall-clock timing lines — the footer is
+    byte-identical across serial, parallel, and resumed runs.
     """
 
     def __init__(self) -> None:
@@ -130,31 +131,19 @@ class CostMeter:
         return f"LLM serving cost: ${total:.4f}  ({parts})"
 
 
-_ACTIVE_METER = threading.local()
+@dataclass(frozen=True)
+class Section:
+    """One suite report section's accounts, carried on its settings.
 
-
-@contextmanager
-def metered() -> Iterator[CostMeter]:
-    """Collect deployment token spend for everything dispatched inside.
-
-    Thread-local, so concurrent suite sections (each section runs wholly
-    on its own thread) meter independently.  Nesting restores the outer
-    meter on exit; the inner scope's episodes bill to the inner meter
-    only.
+    ``meter`` collects the token spend of everything the section
+    dispatches.  ``token_share`` (budget partitioning) caps each of the
+    section's fleet waves at that many tokens of its own spend instead
+    of the ledger-wide ``REPRO_BUDGET_TOKENS``; ``None`` leaves the
+    ledger-wide budget in force.
     """
-    meter = CostMeter()
-    previous = getattr(_ACTIVE_METER, "meter", None)
-    _ACTIVE_METER.meter = meter
-    try:
-        yield meter
-    finally:
-        _ACTIVE_METER.meter = previous
 
-
-def _record_cost(results: list[EpisodeResult]) -> None:
-    meter = getattr(_ACTIVE_METER, "meter", None)
-    if meter is not None:
-        meter.add_results(results)
+    meter: CostMeter = field(default_factory=CostMeter)
+    token_share: int | None = None
 
 
 # ---------------------------------------------------------------------- #
@@ -193,18 +182,20 @@ def dispatch_jobs(
     sharding, token budget — with incremental ledger reads and batched
     appends, so polling cost stays O(new records), not O(history)),
     otherwise straight through the settings' executor.  Either way every
-    job is in flight together — no intermediate barriers — and the
-    episode stream feeds the active :class:`CostMeter`.  Under an active
-    :func:`repro.core.fleet.budget_scope` (suite budget partitioning)
-    the runner meters only this wave's own spend.
+    job is in flight together — no intermediate barriers.  With a
+    ``settings.section`` the results feed its :class:`CostMeter`, and
+    its token share (suite budget partitioning) makes the runner meter
+    only this wave's own spend against that share.
     """
+    section = settings.section
     executor = settings.make_executor()
-    fleet = fleet_from_env()
+    fleet = fleet_from_env(wave_budget=section.token_share if section else None)
     if fleet is not None:
         results = fleet.run_jobs(jobs, executor)
     else:
         results = executor.run_jobs(jobs)
-    _record_cost(results)
+    if section is not None:
+        section.meter.add_results(results)
     return results
 
 

@@ -5,19 +5,17 @@ Usage::
     python -m repro.experiments.suite                   # full report
     REPRO_TRIALS=2 python -m repro.experiments.suite    # quick pass
     REPRO_WORKERS=8 python -m repro.experiments.suite   # parallel trials
-    python -m repro.experiments.suite --concurrent-sections
 
-The output of this module is the source for EXPERIMENTS.md.  Report
-content is independent of the execution mode: trials are seeded, results
-are aggregated in seed order, and sections are always stitched in
-canonical order, so only the per-section timing lines vary between
-serial, parallel, and concurrent runs.
+The output of this module is the source for EXPERIMENTS.md.  Sections
+run one after another in canonical order.  Report content is independent
+of the execution mode: trials are seeded and results are aggregated in
+seed order, so only the per-section timing lines vary between serial,
+parallel, ledgered and resumed runs (``make suite-identity`` checks all
+of them against a committed golden).
 
-Knob precedence: the ``--concurrent-sections`` flag wins over
-``REPRO_SUITE_CONCURRENT``; trial count and executor come from
-``ExperimentSettings`` defaults, i.e. ``REPRO_TRIALS`` / ``REPRO_WORKERS``
-unless a caller passes explicit settings.  See docs/performance.md for
-the full knob table.
+Trial count and executor come from ``ExperimentSettings`` defaults,
+i.e. ``REPRO_TRIALS`` / ``REPRO_WORKERS`` unless a caller passes
+explicit settings.  See docs/performance.md for the full knob table.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from __future__ import annotations
 import argparse
 import time
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 from repro.analysis.tables import render_table1, render_table2
 from repro.core.envknobs import bool_knob
@@ -41,8 +39,7 @@ from repro.experiments import (
 )
 from repro.core.envknobs import int_knob
 from repro.core.errors import BudgetExceededError
-from repro.core.fleet import budget_scope
-from repro.experiments.common import ExperimentSettings, metered
+from repro.experiments.common import ExperimentSettings, Section
 
 _SECTIONS = (
     ("Table I", lambda s: render_table1()),
@@ -66,34 +63,32 @@ def _run_section(
     stopped: list[str] | None = None,
 ) -> str:
     started = time.perf_counter()
-    with metered() as meter:
-        if partition > 0:
-            # Per-figure budget partitioning: this section's fleet
-            # dispatches run under a wave-scoped share of the suite
-            # budget, and a trip stops only this section — a runaway
-            # figure cannot starve the rest of the report.
-            try:
-                with budget_scope(partition):
-                    body = runner(settings)
-            except BudgetExceededError as exc:
-                if stopped is not None:
-                    stopped.append(title)
-                body = (
-                    f"[section stopped: its {partition}-token share of "
-                    f"REPRO_BUDGET_TOKENS ran out; completed episodes are "
-                    f"persisted in the ledger]"
-                )
-                if exc.report:
-                    body = f"{body}\n{exc.report}"
-        else:
-            body = runner(settings)
+    # Per-figure budget partitioning: with a partition, this section's
+    # fleet dispatches run under a wave-scoped share of the suite budget,
+    # and a trip stops only this section — a runaway figure cannot starve
+    # the rest of the report.
+    section = Section(token_share=partition or None)
+    try:
+        body = runner(replace(settings, section=section))
+    except BudgetExceededError as exc:
+        if not partition:
+            raise
+        if stopped is not None:
+            stopped.append(title)
+        body = (
+            f"[section stopped: its {partition}-token share of "
+            f"REPRO_BUDGET_TOKENS ran out; completed episodes are "
+            f"persisted in the ledger]"
+        )
+        if exc.report:
+            body = f"{body}\n{exc.report}"
     elapsed = time.perf_counter() - started
     rule = "=" * 72
     block = f"{rule}\n{title}  (generated in {elapsed:.1f}s wall)\n{rule}\n{body}"
-    if not meter.empty:
+    if not section.meter.empty:
         # Token spend is seeded, so unlike the timing line this footer is
         # byte-identical across serial / parallel / resumed runs.
-        block = f"{block}\n{meter.describe()}"
+        block = f"{block}\n{section.meter.describe()}"
     return block
 
 
@@ -116,58 +111,27 @@ def budget_partition_from_env() -> int:
 
 def run_all(
     settings: ExperimentSettings | None = None,
-    concurrent_sections: bool = False,
     stopped: list[str] | None = None,
 ) -> str:
-    """Render the full report, always stitched in canonical section order.
-
-    With ``concurrent_sections`` the independent sections run on a
-    thread pool (sections spend their time waiting on trial jobs, which
-    the settings' executor may fan out to worker processes); the
-    rendered blocks are reassembled in ``_SECTIONS`` order, so the
-    report content matches the sequential mode modulo timing lines.
+    """Render the full report, one section after another in canonical order.
 
     ``stopped`` (when provided) collects the titles of sections halted
     by a partitioned budget trip — see :func:`budget_partition_from_env`.
     """
     settings = settings or ExperimentSettings()
     partition = budget_partition_from_env()
-
-    def render(section):
-        return _run_section(
-            section[0], section[1], settings, partition=partition, stopped=stopped
-        )
-
-    if concurrent_sections:
-        with ThreadPoolExecutor(max_workers=len(_SECTIONS)) as pool:
-            blocks = list(pool.map(render, _SECTIONS))
-    else:
-        blocks = [render(section) for section in _SECTIONS]
-    return "\n\n".join(blocks)
-
-
-def concurrent_sections_from_env() -> bool:
-    """Truthiness of ``REPRO_SUITE_CONCURRENT`` (0/false/no/off disable)."""
-    return bool_knob("REPRO_SUITE_CONCURRENT", default=False)
+    return "\n\n".join(
+        _run_section(title, runner, settings, partition=partition, stopped=stopped)
+        for title, runner in _SECTIONS
+    )
 
 
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument(
-        "--concurrent-sections",
-        action=argparse.BooleanOptionalAction,
-        default=concurrent_sections_from_env(),
-        help="run independent report sections concurrently "
-        "(default follows REPRO_SUITE_CONCURRENT)",
-    )
-    args = parser.parse_args(argv)
+    parser.parse_args(argv)
     stopped: list[str] = []
     try:
-        print(
-            run_all(
-                concurrent_sections=args.concurrent_sections, stopped=stopped
-            )
-        )
+        print(run_all(stopped=stopped))
     except BudgetExceededError as exc:
         # Unpartitioned ledger-wide budget: admission stopped cleanly —
         # everything that finished is in the ledger, so a rerun with a

@@ -25,8 +25,6 @@ callers that render.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import attrgetter
@@ -34,7 +32,7 @@ from typing import Sequence
 
 from repro.core import hotpath
 from repro.core.types import Candidate, Fact, Message, Observation
-from repro.envs.candidates import candidate_features
+from repro.envs.candidates import IdentityMemo, candidate_features
 from repro.llm.tokenizer import count_tokens
 
 
@@ -158,75 +156,29 @@ class Prompt:
 #: truncation, as the benchmarked systems do).
 MAX_DIALOGUE_MESSAGES = 40
 
-#: Candidate-line scaffolding, grown on demand: ``"(i) "`` prefixes, their
-#: token costs — "(" and ")" are one token each plus one per index digit —
-#: and the running cumulative cost (``cumulative[n]`` is the total index
-#: overhead of enumerating ``n`` candidates), so enumeration never
-#: re-formats, re-counts, or even re-sums per step.
-#: Published as ONE tuple global so growth is a single atomic store: the
-#: suite's ``--concurrent-sections`` mode runs episodes on threads of one
-#: process, and a reader must always see a matched, fully built triple.
-_INDEX_SCAFFOLD: tuple[list[str], list[int], list[int]] = ([], [], [0])
-_INDEX_LOCK = threading.Lock()
+#: Candidate-line scaffolding, grown in place on demand: ``"(i) "``
+#: prefixes, their token costs — "(" and ")" are one token each plus one
+#: per index digit — and the running cumulative cost (``cumulative[n]``
+#: is the total index overhead of enumerating ``n`` candidates), so
+#: enumeration never re-formats, re-counts, or even re-sums per step.
+_INDEX_PREFIXES: list[str] = []
+_INDEX_TOKENS: list[int] = []
+_INDEX_CUMULATIVE: list[int] = [0]
 
 
 def _index_scaffold(upto: int) -> tuple[list[str], list[int], list[int]]:
     """Prefix/token/cumulative tables covering ``upto`` candidate indices."""
-    global _INDEX_SCAFFOLD
-    prefixes, tokens, cumulative = _INDEX_SCAFFOLD
-    if upto <= len(prefixes):
-        return prefixes, tokens, cumulative
-    with _INDEX_LOCK:
-        prefixes, tokens, cumulative = _INDEX_SCAFFOLD
-        if upto > len(prefixes):
-            prefixes = prefixes + [
-                f"({index}) " for index in range(len(prefixes), upto)
-            ]
-            tokens = tokens + [
-                2 + len(str(index)) for index in range(len(tokens), upto)
-            ]
-            cumulative = list(cumulative)
-            for cost in tokens[len(cumulative) - 1 :]:
-                cumulative.append(cumulative[-1] + cost)
-            _INDEX_SCAFFOLD = (prefixes, tokens, cumulative)
-        return prefixes, tokens, cumulative
+    for index in range(len(_INDEX_PREFIXES), upto):
+        _INDEX_PREFIXES.append(f"({index}) ")
+        _INDEX_TOKENS.append(2 + len(str(index)))
+        _INDEX_CUMULATIVE.append(_INDEX_CUMULATIVE[-1] + _INDEX_TOKENS[-1])
+    return _INDEX_PREFIXES, _INDEX_TOKENS, _INDEX_CUMULATIVE
 
 
-class _IdentitySectionMemo:
-    """Bounded identity-keyed memo: candidate tuple -> rendered section.
-
-    The environment candidate cache returns the *same tuple object* while
-    an agent's affordances are unchanged (:mod:`repro.envs.candidates`),
-    so the candidates section — the per-step render and token count of
-    every enumerated subgoal — can be reused by object identity: no
-    hashing of candidate values, just an id lookup plus an ``is`` check.
-    Entries pin their key tuple (ids cannot be recycled while cached) and
-    sections are immutable, so sharing across prompts is safe.  A lock
-    guards the map for the suite's threaded ``--concurrent-sections``
-    mode, mirroring ``_INDEX_SCAFFOLD``.
-    """
-
-    def __init__(self, capacity: int = 256) -> None:
-        self._entries: OrderedDict[int, tuple[object, PromptSection]] = OrderedDict()
-        self._capacity = capacity
-        self._lock = threading.Lock()
-
-    def get(self, key_obj: object) -> PromptSection | None:
-        with self._lock:
-            entry = self._entries.get(id(key_obj))
-            if entry is None or entry[0] is not key_obj:
-                return None
-            self._entries.move_to_end(id(key_obj))
-            return entry[1]
-
-    def put(self, key_obj: object, section: PromptSection) -> None:
-        with self._lock:
-            self._entries[id(key_obj)] = (key_obj, section)
-            if len(self._entries) > self._capacity:
-                self._entries.popitem(last=False)
-
-
-_CANDIDATE_SECTIONS = _IdentitySectionMemo()
+#: Candidate tuple -> rendered candidates section, by identity: the
+#: section — the per-step render and token count of every enumerated
+#: subgoal — is reused while the env cache returns the same tuple.
+_CANDIDATE_SECTIONS = IdentityMemo()
 
 _PTOKENS = attrgetter("_ptokens")
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from typing import Iterable
 
 _WORD_RE = re.compile(r"[A-Za-z]+|\d|[^\sA-Za-z\d]")
 
@@ -51,6 +50,12 @@ def count_tokens(text: str) -> int:
     0
     >>> count_tokens("pick up the red mug")
     5
+    >>> count_tokens("abcdefghijkl")  # 12 letters: two subwords
+    2
+    >>> count_tokens("mug #3.")  # one word, then one token per mark/digit
+    4
+    >>> count_tokens("pick up") + count_tokens("the red mug")  # additive
+    5
     """
     if not text:
         return 0
@@ -61,18 +66,3 @@ def count_tokens(text: str) -> int:
         else:
             total += 1
     return total
-
-
-def count_tokens_many(texts: Iterable[str]) -> int:
-    """Sum of token counts over ``texts`` (convenience for fact lists).
-
-    Accepts any iterable of strings, including single-pass generators:
-
-    >>> count_tokens_many(["pick up", "the red mug"])
-    5
-    >>> count_tokens_many(word for word in "pick up the red mug".split())
-    5
-    >>> count_tokens_many([])
-    0
-    """
-    return sum(count_tokens(text) for text in texts)

@@ -63,20 +63,6 @@ def with_continuous_serving(config: SystemConfig) -> SystemConfig:
     return with_serving(config, "continuous")
 
 
-def with_vector_planning(config: SystemConfig) -> SystemConfig:
-    """Run the system's noisy detectors in batched ``vector`` mode.
-
-    Pins ``detector_mode="vector"``: per-fact recall/mislabel draws are
-    batched into three array calls with the same per-kind draw counts as
-    the loop detector but a reordered stream, so noisy aggregates carry
-    the documented byte-identity waiver (docs/performance.md).  Not in
-    :data:`RECOMMENDATIONS` — like :func:`with_serving` it is an
-    infrastructure control, not a paper recommendation, and the golden
-    ablation sweeps stay on the ``loop`` reference.
-    """
-    return config.with_optimizations(detector_mode="vector")
-
-
 def with_quantization(config: SystemConfig) -> SystemConfig:
     """Rec. 1: AWQ 4-bit quantization for locally served models."""
     return config.with_optimizations(quantization="awq")

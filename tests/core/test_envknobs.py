@@ -88,14 +88,6 @@ class TestAdopters:
         monkeypatch.delenv("REPRO_HOTPATH")
         assert _from_env() is True
 
-    def test_suite_concurrent(self, monkeypatch):
-        from repro.experiments.suite import concurrent_sections_from_env
-
-        monkeypatch.setenv("REPRO_SUITE_CONCURRENT", "1")
-        assert concurrent_sections_from_env() is True
-        monkeypatch.setenv("REPRO_SUITE_CONCURRENT", "off")
-        assert concurrent_sections_from_env() is False
-
     def test_serve_mode(self, monkeypatch):
         from repro.llm.scheduler import serve_mode_from_env
 

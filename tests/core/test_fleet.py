@@ -17,7 +17,6 @@ from repro.core.fleet import (
     FleetRunner,
     JobLedger,
     LedgerEntry,
-    budget_scope,
     decode_result,
     encode_result,
     fleet_from_env,
@@ -374,6 +373,17 @@ class TestEnvConstruction:
         assert runner.lease_seconds == 7.5
         assert runner.poll_seconds == 0.05
 
+    @pytest.mark.parametrize("knob, value", [("REPRO_BUDGET_TOKENS", "1"), ("REPRO_SHARDS", "3")])
+    def test_fleet_knob_without_ledger_raises(self, monkeypatch, knob, value):
+        """A budget or shard layout with no ledger must not run uncapped or
+        unsharded: it names the knob and the missing ``REPRO_LEDGER``."""
+        monkeypatch.delenv("REPRO_LEDGER", raising=False)
+        monkeypatch.setenv(knob, value)
+        with pytest.raises(ValueError, match=f"{knob} is set but REPRO_LEDGER is not"):
+            fleet_from_env()
+        monkeypatch.setenv(knob, "0" if knob == "REPRO_BUDGET_TOKENS" else "1")
+        assert fleet_from_env() is None
+
     def test_shard_id_must_fit(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_LEDGER", str(tmp_path / "l.jsonl"))
         monkeypatch.setenv("REPRO_SHARDS", "2")
@@ -697,27 +707,18 @@ class TestStatusCLI:
 
 class TestBudgetScopes:
     def test_scope_validates_tokens(self):
-        with pytest.raises(ValueError):
-            with budget_scope(0):
-                pass
+        with pytest.raises(ValueError, match="wave_budget"):
+            fleet_from_env(wave_budget=0)
 
     def test_scope_selects_wave_budget(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_LEDGER", str(tmp_path / "ledger.jsonl"))
         monkeypatch.setenv("REPRO_BUDGET_TOKENS", "9000")
-        with budget_scope(500):
-            runner = fleet_from_env()
-            assert runner.budget_tokens == 500
-            assert runner.budget_scope == "wave"
+        runner = fleet_from_env(wave_budget=500)
+        assert runner.budget_tokens == 500
+        assert runner.budget_scope == "wave"
         runner = fleet_from_env()
         assert runner.budget_tokens == 9000
         assert runner.budget_scope == "ledger"
-
-    def test_scopes_nest_and_restore(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_LEDGER", str(tmp_path / "ledger.jsonl"))
-        with budget_scope(100):
-            with budget_scope(50):
-                assert fleet_from_env().budget_tokens == 50
-            assert fleet_from_env().budget_tokens == 100
 
     def test_wave_budget_ignores_foreign_ledger_spend(self, ledger):
         # Another figure's episodes already cost 10k tokens on the

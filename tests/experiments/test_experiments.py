@@ -6,15 +6,18 @@ plus the cheap directional claims.  Full-shape verification lives in the
 benchmarks and EXPERIMENTS.md.
 """
 
+from dataclasses import replace
+
 import pytest
 
+from repro.core.errors import BudgetExceededError
 from repro.experiments import fig3_sensitivity, fig6_tokens, suite
 from repro.experiments.common import (
     ExperimentSettings,
     GridCell,
     measure,
+    Section,
     measure_grid,
-    metered,
     trials_from_env,
     workers_from_env,
 )
@@ -84,8 +87,9 @@ class TestCommon:
 
 class TestCostMetering:
     def test_meter_collects_dispatched_episodes(self):
-        with metered() as meter:
-            measure(get_workload("embodiedgpt").config, FAST)
+        section = Section()
+        measure(get_workload("embodiedgpt").config, replace(FAST, section=section))
+        meter = section.meter
         assert not meter.empty
         totals = meter.totals()
         assert all(prompt > 0 for prompt, _ in totals.values())
@@ -94,17 +98,9 @@ class TestCostMetering:
         for model in totals:
             assert model in line
 
-    def test_meter_scopes_nest_and_restore(self):
-        with metered() as outer:
-            with metered() as inner:
-                measure(get_workload("embodiedgpt").config, FAST)
-            snapshot = inner.totals()
-            measure(get_workload("jarvis-1").config, FAST)
-        assert snapshot and inner.totals() == snapshot  # no leak from outer scope
-        assert not outer.empty
-
     def test_dispatch_outside_meter_is_fine(self):
-        measure(get_workload("embodiedgpt").config, FAST)  # no active meter
+        assert FAST.section is None
+        measure(get_workload("embodiedgpt").config, FAST)  # nothing to meter
 
     def test_suite_section_footer_carries_cost(self):
         block = suite._run_section(
@@ -118,6 +114,50 @@ class TestCostMetering:
     def test_suite_section_without_episodes_has_no_footer(self):
         block = suite._run_section("Probe", lambda s: "body", FAST)
         assert "LLM serving cost" not in block
+
+
+class TestPartitionedBudget:
+    """``suite._run_section`` with a token share: the partitioned path."""
+
+    @staticmethod
+    def probe(n_trials):
+        def runner(settings):
+            measure(get_workload("embodiedgpt").config, replace(settings, n_trials=n_trials))
+            return "body"
+
+        return runner
+
+    def test_overspending_section_stops_alone(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_BUDGET_TOKENS", raising=False)
+        alone = suite._run_section("Probe", self.probe(1), FAST)
+        monkeypatch.setenv("REPRO_LEDGER", str(tmp_path / "ledger.jsonl"))
+        stopped = []
+        # Two trials against a 1-token share: the first spends it, so the
+        # second is never admitted and only this section stops.
+        tripped = suite._run_section(
+            "Hungry", self.probe(2), FAST, partition=1, stopped=stopped
+        )
+        body = tripped.split("\n")[3:]
+        assert body[0].startswith("[section stopped: its 1-token share of REPRO_BUDGET_TOKENS")
+        assert body[1] == "fleet budget report (partial ledger):"
+        assert "LLM serving cost" not in tripped
+        assert stopped == ["Hungry"]
+        # The next section, with a large share, restores the episode the
+        # stopped one persisted and bills exactly what it bills alone.
+        completed = suite._run_section(
+            "Probe", self.probe(1), FAST, partition=10**9, stopped=stopped
+        )
+        assert stopped == ["Hungry"]
+        assert completed.split("\n")[3:] == alone.split("\n")[3:]
+        assert completed.split("\n")[-1].startswith("LLM serving cost: $")
+
+    def test_unpartitioned_trip_propagates(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_LEDGER", str(tmp_path / "ledger.jsonl"))
+        monkeypatch.setenv("REPRO_BUDGET_TOKENS", "1")
+        stopped = []
+        with pytest.raises(BudgetExceededError):
+            suite._run_section("Hungry", self.probe(2), FAST, stopped=stopped)
+        assert stopped == []
 
 
 class TestFig3Structure:
