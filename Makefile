@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-hotpath bench-comm bench-planning bench-serving bench-fleet bench-all lint format suite docs-check resume-smoke fleet-drill suite-identity
+.PHONY: test bench bench-hotpath bench-comm bench-planning bench-serving bench-fleet bench-all lint format suite docs-check resume-smoke fleet-drill suite-identity perf-ab
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -93,3 +93,13 @@ suite:
 # REPRO_REGEN_GOLDENS=1 rewrites the golden.
 suite-identity:
 	$(PYTHON) scripts/suite_identity.py
+
+# Alternating A/B of one perfbench workload between BASE (a git revision)
+# and this working tree: per-pair ratios, each side's median and
+# quartiles, the win count.  Ten 20 s pairs take about ten minutes, too
+# slow for CI.  Exits non-zero if any run is not "correct".
+WORKLOAD ?= dialogue-scale
+PAIRS ?= 10
+perf-ab:
+	@test -n "$(BASE)" || { echo "usage: make perf-ab BASE=<rev> [WORKLOAD=<name>] [PAIRS=10]"; exit 2; }
+	$(PYTHON) scripts/perf_ab.py --base $(BASE) --workload $(WORKLOAD) --pairs $(PAIRS)

@@ -56,9 +56,9 @@ class Beliefs:
     def update_batch(self, chunks: Iterable[Iterable[Fact]]) -> list[int]:
         """Merge several fact chunks in order; returns per-chunk novelty.
 
-        The delivery bus (:mod:`repro.core.bus`) concatenates one step's
-        staged message payloads into a single fact stream per receiver and
-        merges it in delivery order.  Each chunk is counted exactly as a
+        The delivery bus (:mod:`repro.core.bus`) merges one step's staged
+        message payloads for a receiver without a memory module in one
+        call, in delivery order.  Each chunk is counted exactly as a
         separate :meth:`update` call would have counted it — a chunk's
         facts see every earlier chunk already merged — so batched and
         per-delivery novelty (the paper's message-usefulness metric) agree

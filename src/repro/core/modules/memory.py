@@ -33,12 +33,13 @@ out-of-order access the guards detect) fall back to the seed's linear
 scan, which stays byte-identical by construction.
 
 Step-batched deliveries (:mod:`repro.core.bus`): on the bus path a
-message's modeled store latency is charged at :meth:`stage_message` time
-(the seed's clock position) while its dialogue/observation writes wait
-for one :meth:`commit_staged_messages` per step — entry-for-entry the
-state :meth:`store_message` would have produced, merged into the slot
-table in one pass.  Read paths refuse to serve while deliveries are
-staged.
+message's modeled store latency is charged by the bus when it stages the
+message (the seed's clock position) while its dialogue/observation
+writes wait for one :meth:`commit_staged_messages` per step — entry for
+entry the state :meth:`store_message` would have produced.  The commit
+is one fused pass that merges each delivered fact into the receiver's
+step beliefs and the slot table together.  Read paths refuse to serve
+while deliveries are staged.
 """
 
 from __future__ import annotations
@@ -46,6 +47,9 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
+from typing import Sequence
 
 from repro.core import hotpath
 from repro.core.beliefs import Beliefs
@@ -57,6 +61,9 @@ from repro.core.types import Fact, Message, Subgoal, _memo_describe
 RETRIEVE_BASE_SECONDS = 0.02
 RETRIEVE_PER_ENTRY_SECONDS = 0.0012
 STORE_SECONDS = 0.006
+
+_FACTS = attrgetter("facts")
+_STEP = attrgetter("step")
 
 #: Confused-recall model: when the retention window stretches past this
 #: many steps of history, a retrieval may resolve one belief slot to an
@@ -179,49 +186,99 @@ class MemoryModule:
     # ------------------------------------------------------------------ #
 
     def stage_message(self, message: Message) -> None:
-        """Charge one message's store now; defer its write to the commit.
+        """Queue one delivered message for the step's batched commit.
 
-        The bus path of the delivery pipeline: the modeled ``store_dialogue``
-        latency must land on the virtual clock at exactly the point the
-        per-delivery path charged it (between the sender's compose and the
-        next compose), but the dialogue/observation index writes can wait
-        until the whole step's deliveries are known.  Every stage must be
+        The bus path of the delivery pipeline: the dialogue/observation
+        index writes wait until the whole step's deliveries are known.
+        The modeled ``store_dialogue`` latency is not charged here — the
+        bus charges every receiver's store of a message in one clock call
+        at this point of the virtual timeline.  Every stage must be
         followed by :meth:`commit_staged_messages` before the next
         retrieval — the read paths guard against forgotten commits.
         """
         self._staged_messages.append(message)
-        self._charge(STORE_SECONDS, "store_dialogue")
 
-    def commit_staged_messages(self) -> None:
-        """Apply all staged message writes in delivery order, in one pass.
+    def commit_staged_messages(
+        self,
+        beliefs: Beliefs,
+        deliveries: list[tuple[Sequence[Fact], Sequence[Fact]]],
+        step_counts: list[Counter[int]],
+    ) -> list[int]:
+        """Apply all staged deliveries in one pass; per-message novelty.
 
-        Byte-equivalent to having called :meth:`store_message` per staged
-        message (minus the latency, which :meth:`stage_message` already
-        charged): the dialogue log, the observation store, and the slot
-        table end up entry-for-entry identical because the staged order is
-        the delivery order and the concatenated payloads merge exactly as
-        per-message merges would.
+        ``deliveries`` holds, in delivery order, the payload facts and
+        intent facts of the staged messages that still need merging: the
+        bus drops a verbatim re-send's facts wherever re-merging them
+        cannot change a slot.  Each payload fact is merged into
+        ``beliefs`` (the receiver's step beliefs, counting novelty as
+        :meth:`Beliefs.update` does) and into the slot table, with its
+        key built once; intent facts go into ``beliefs`` only.
+        ``step_counts`` are per-step counts of *every* delivered payload
+        fact, re-sends included, so the observation store's window
+        accounting is what per-message :meth:`store_message` calls would
+        have left.  The dialogue log and the observation store get every
+        staged message entry for entry.  The bus runs only on the hot
+        path, so the fast-path indices are kept unconditionally.
+        Returns each delivery's novel payload facts, as
+        ``receive_message`` would have counted them.
         """
         staged = self._staged_messages
         if not staged:
-            return
+            return []
         self._staged_messages = []
-        facts = [fact for message in staged for fact in message.facts]
         self._dialogue.extend(staged)
-        self._observations.extend(facts)
-        if self._fast:
-            dialogue_steps = self._dialogue_steps
-            steps = [message.step for message in staged]
-            # A step descent anywhere (at the commit boundary or inside
-            # it) turns off the bisected retention windows.
-            if (dialogue_steps and steps[0] < dialogue_steps[-1]) or any(
-                map(int.__gt__, steps, steps[1:])
-            ):
-                self._steps_sorted = False
-            dialogue_steps.extend(steps)
-            self._index_facts(facts)
-        else:
-            self._slot_index.update(facts)
+        self._observations.extend(chain.from_iterable(map(_FACTS, staged)))
+        dialogue_steps = self._dialogue_steps
+        steps = list(map(_STEP, staged))
+        # A step descent anywhere (at the commit boundary or inside it)
+        # turns off the bisected retention windows.
+        if (dialogue_steps and steps[0] < dialogue_steps[-1]) or any(
+            map(int.__gt__, steps, steps[1:])
+        ):
+            self._steps_sorted = False
+        dialogue_steps.extend(steps)
+        totals = self._obs_step_counts
+        evict_start = self._evict_start
+        evicted = 0
+        for counts in step_counts:
+            for step, count in counts.items():
+                totals[step] += count
+                if step < evict_start:
+                    evicted += count
+        self._evicted_obs += evicted
+
+        held = beliefs._slots
+        held_get = held.get
+        slots = self._slot_index._slots
+        get = slots.get
+        sorted_keys = self._sorted_slot_keys
+        novelty = []
+        for payload, intents in deliveries:
+            novel = 0
+            for fact in payload:
+                key = (fact.subject, fact.relation)
+                step = fact.step
+                existing = held_get(key)
+                if existing is None:
+                    novel += 1
+                    held[key] = fact
+                elif step >= existing.step:
+                    if existing.value != fact.value:
+                        novel += 1
+                    held[key] = fact
+                existing = get(key)
+                if existing is None:
+                    slots[key] = fact
+                    insort(sorted_keys, key)
+                elif step >= existing.step:
+                    slots[key] = fact
+            novelty.append(novel)
+            for fact in intents:
+                key = (fact.subject, fact.relation)
+                existing = held_get(key)
+                if existing is None or fact.step >= existing.step:
+                    held[key] = fact
+        return novelty
 
     def _index_facts(self, facts) -> int:
         """Merge a batch of facts into the fast-path indices; returns novelty.
@@ -229,7 +286,7 @@ class MemoryModule:
         One loop maintains the newest-wins slot table (the rule and the
         novelty count of :meth:`Beliefs.update`), the sorted key mirror,
         and the per-step counts, with every table lookup bound once per
-        batch — a frame, a message payload, or a step's staged payloads.
+        batch — a frame or a message payload.
         """
         step_counts = self._obs_step_counts
         evict_start = self._evict_start

@@ -65,7 +65,7 @@ class ParadigmLoop(abc.ABC):
         #: Step-batched delivery bus (hot path only); ``None`` selects the
         #: seed's per-delivery fan-out in :meth:`deliver_message`.
         self.bus: DeliveryBus | None = (
-            DeliveryBus(self.agents, self.metrics)
+            DeliveryBus(self.agents, self.metrics, self.clock)
             if hotpath.enabled()
             else None
         )

@@ -18,9 +18,10 @@ per-piece cached counts — valid because the estimator never merges tokens
 across the space separator (see :mod:`repro.llm.tokenizer`) — instead of
 re-tokenizing the joined text each step.  Memory, action-history and
 dialogue sections count eagerly (one C-level sum over the pieces'
-``_ptokens`` memos) but join their text lazily, on first read: the
-simulated LLM reads only token counts, so the join is paid only by
-callers that render.
+``_ptokens`` memos) but join their text lazily, on first read; so does
+the observation section, whose text is the observation's rendering.  The
+simulated LLM reads only token counts, so rendering is paid only by
+callers that read the text.
 """
 
 from __future__ import annotations
@@ -248,8 +249,8 @@ class PromptBuilder:
                 # instance memo plus one token for the period.  This
                 # skips re-tokenizing the joined text — the single
                 # largest distinct-string source on the reference path —
-                # while producing the exact same count.
-                text = observation.describe()
+                # while producing the exact same count.  The text itself
+                # is rendered only if someone reads it.
                 tokens = observation.__dict__.get("_ptokens")
                 if tokens is None:
                     head = f"{observation.agent} is at {observation.position}."
@@ -258,7 +259,7 @@ class PromptBuilder:
                         tokens += piece_tokens(fact) + 1
                     object.__setattr__(observation, "_ptokens", tokens)
                 self._prompt.append_section(
-                    PromptSection("observation", text, tokens)
+                    _joined_section("observation", (observation,), tokens, False)
                 )
             else:
                 self._prompt.add("observation", observation.describe())

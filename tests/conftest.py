@@ -37,17 +37,31 @@ def record_charges(clock: SimClock) -> list[tuple[ModuleName, str, float, float]
     """Log every charge on ``clock`` as ``(module, phase, start, duration)``.
 
     The clock keeps only running sums; tests that compare two code paths
-    charge by charge wrap this one instance's ``advance``/``settle`` and
-    compare the logs.  ``start`` is ``now`` before an advance and
-    ``completion - duration`` for a settle.
+    charge by charge wrap this one instance's ``advance``,
+    ``advance_repeated`` and ``settle`` and compare the logs.  ``start``
+    is ``now`` before an advance and ``completion - duration`` for a
+    settle.  A batched ``advance_repeated(duration, times, ...)`` is
+    logged as ``times`` entries, with the starts ``times`` successive
+    advances would have logged, so a batched charge and the separate
+    charges it replaces leave the same log.
     """
     log: list[tuple[ModuleName, str, float, float]] = []
-    advance, settle = clock.advance, clock.settle
+    advance, repeated, settle = clock.advance, clock.advance_repeated, clock.settle
 
     def logged_advance(duration: float, module: ModuleName, phase: str = "") -> None:
         start = clock.now
         advance(duration, module, phase)
         log.append((module, phase, start, duration))
+
+    def logged_repeated(
+        duration: float, times: int, module: ModuleName, phase: str = ""
+    ) -> None:
+        start, moves = clock.now, clock._parallel_depth == 0
+        repeated(duration, times, module, phase)
+        for _ in range(times):
+            log.append((module, phase, start, duration))
+            if moves:
+                start += duration
 
     def logged_settle(
         completion: float, duration: float, module: ModuleName, phase: str = ""
@@ -56,6 +70,7 @@ def record_charges(clock: SimClock) -> list[tuple[ModuleName, str, float, float]
         log.append((module, phase, completion - duration, duration))
 
     clock.advance = logged_advance
+    clock.advance_repeated = logged_repeated
     clock.settle = logged_settle
     return log
 

@@ -1,10 +1,13 @@
 """Tests for the virtual clock and latency attribution."""
 
 import os
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+
+from conftest import record_charges
 
 from repro.core.clock import LLM_MODULES, MODULE_ORDER, ModuleName, SimClock
 
@@ -163,6 +166,145 @@ class TestAttribution:
             module = MODULE_ORDER[index % len(MODULE_ORDER)]
             clock.advance(duration, module)
         assert sum(clock.elapsed_by_module().values()) == pytest.approx(clock.now)
+
+
+def _clock_state(clock: SimClock) -> tuple:
+    """Bit-exact state: ``float.hex`` of now and of every sum, in key order."""
+    return (
+        clock.now.hex(),
+        [(key, float(total).hex()) for key, total in clock.elapsed_by_module().items()],
+        [(key, float(total).hex()) for key, total in clock.elapsed_by_phase().items()],
+    )
+
+
+#: Prior charges: (duration, module index, phase).
+_CHARGES = st.lists(
+    st.tuples(
+        st.floats(min_value=0.0, max_value=10.0),
+        st.integers(0, len(MODULE_ORDER) - 1),
+        st.sampled_from(("", "store_dialogue", "plan")),
+    ),
+    max_size=8,
+)
+
+
+class TestAdvanceRepeated:
+    """``advance_repeated`` is ``times`` successive advances, bit for bit."""
+
+    @staticmethod
+    def _run(scope: str, prior, duration, times, module, phase, batched: bool):
+        clock = SimClock()
+        clock.advance(3.0, ModuleName.EXECUTION)
+
+        def charge():
+            for prior_duration, index, prior_phase in prior:
+                clock.advance(prior_duration, MODULE_ORDER[index], prior_phase)
+            if batched:
+                assert clock.advance_repeated(duration, times, module, phase) is None
+            else:
+                for _ in range(times):
+                    clock.advance(duration, module, phase)
+            clock.advance(0.125, ModuleName.PLANNING, "after")
+
+        if scope == "parallel":
+            with clock.parallel():
+                charge()
+        elif scope == "overlapped":
+            with clock.overlapped(1.5):
+                charge()
+        else:
+            charge()
+        return _clock_state(clock)
+
+    @pytest.mark.parametrize("scope", ["sequential", "parallel", "overlapped"])
+    @given(
+        prior=_CHARGES,
+        duration=st.floats(min_value=0.0, max_value=10.0),
+        times=st.integers(0, 13),
+        module_index=st.integers(0, len(MODULE_ORDER) - 1),
+        phase=st.sampled_from(("", "store_dialogue", "plan")),
+    )
+    def test_equals_successive_advances(
+        self, scope, prior, duration, times, module_index, phase
+    ):
+        module = MODULE_ORDER[module_index]
+        args = (scope, prior, duration, times, module, phase)
+        assert self._run(*args, batched=True) == self._run(*args, batched=False)
+
+    def test_store_latencies_bit_identical(self):
+        """The bus's case: 11 receivers' 6 ms stores after odd-sized sums."""
+        batched, separate = SimClock(), SimClock()
+        for clock in (batched, separate):
+            clock.advance(0.1, ModuleName.MEMORY, "store_dialogue")
+            clock.advance(1 / 3, ModuleName.COMMUNICATION, "compose")
+        batched.advance_repeated(0.006, 11, ModuleName.MEMORY, "store_dialogue")
+        for _ in range(11):
+            separate.advance(0.006, ModuleName.MEMORY, "store_dialogue")
+        assert _clock_state(batched) == _clock_state(separate)
+        # ... and differs from a single multiplied charge, which rounds
+        # differently: the batched charge really repeats the additions.
+        multiplied = SimClock()
+        multiplied.advance(0.1, ModuleName.MEMORY, "store_dialogue")
+        multiplied.advance(1 / 3, ModuleName.COMMUNICATION, "compose")
+        multiplied.advance(0.006 * 11, ModuleName.MEMORY, "store_dialogue")
+        assert _clock_state(multiplied) != _clock_state(batched)
+
+    def test_first_arrival_key_order(self, clock):
+        clock.advance(1.0, ModuleName.PLANNING, phase="plan")
+        clock.advance_repeated(0.5, 3, ModuleName.MEMORY, phase="store")
+        clock.advance(0.5, ModuleName.PLANNING, phase="replan")
+        assert list(clock.elapsed_by_module()) == [
+            ModuleName.PLANNING,
+            ModuleName.MEMORY,
+        ]
+        assert list(clock.elapsed_by_phase()) == [
+            (ModuleName.PLANNING, "plan"),
+            (ModuleName.MEMORY, "store"),
+            (ModuleName.PLANNING, "replan"),
+        ]
+
+    @pytest.mark.parametrize("scope", ["sequential", "parallel"])
+    def test_zero_times_is_a_no_op(self, clock, scope):
+        clock.advance(1.0, ModuleName.PLANNING)
+        before = _clock_state(clock)
+        if scope == "parallel":
+            with clock.parallel():
+                clock.advance_repeated(2.0, 0, ModuleName.MEMORY, "store")
+        else:
+            clock.advance_repeated(2.0, 0, ModuleName.MEMORY, "store")
+        assert _clock_state(clock) == before
+        assert ModuleName.MEMORY not in clock.elapsed_by_module()
+
+    def test_negative_duration_rejected(self, clock):
+        with pytest.raises(ValueError, match="duration"):
+            clock.advance_repeated(-0.1, 3, ModuleName.MEMORY)
+        with pytest.raises(ValueError, match="duration"):
+            clock.advance_repeated(-0.1, 0, ModuleName.MEMORY)
+        assert _clock_state(clock) == _clock_state(SimClock())
+
+    def test_negative_times_rejected(self, clock):
+        with pytest.raises(ValueError, match="times"):
+            clock.advance_repeated(0.1, -1, ModuleName.MEMORY)
+        assert _clock_state(clock) == _clock_state(SimClock())
+
+    @pytest.mark.parametrize("scope", ["sequential", "parallel"])
+    def test_record_charges_logs_each_repeat(self, scope):
+        """The test helper logs a batched charge as ``times`` entries, with
+        the starts that separate advances would have logged."""
+        logs = []
+        for batched in (True, False):
+            clock = SimClock()
+            log = record_charges(clock)
+            clock.advance(0.25, ModuleName.SENSING)
+            with clock.parallel() if scope == "parallel" else nullcontext():
+                if batched:
+                    clock.advance_repeated(0.006, 4, ModuleName.MEMORY, "store")
+                else:
+                    for _ in range(4):
+                        clock.advance(0.006, ModuleName.MEMORY, "store")
+            logs.append(log)
+        assert logs[0] == logs[1]
+        assert len(logs[0]) == 5
 
 
 class TestParallel:

@@ -4,11 +4,11 @@ The episode-level byte-identity of the bus is asserted by the golden
 equivalence suite; these tests pin the component contracts it rests on:
 batched belief merges count novelty exactly like sequential updates,
 staged memory writes commit to the same state as inline stores (also as
-a property over random delivery streams, against the per-message and
-reference paths), read paths refuse to serve uncommitted staging, the
-detector fast lanes leave
-the rng stream bit-identical, and the sensing/position staging caches
-invalidate when the world moves.
+a property over random delivery streams with verbatim re-sends, against
+the per-message and reference paths), a re-send keeps only its facts on
+conflicting keys, read paths refuse to serve uncommitted staging, the
+detector fast lanes leave the rng stream bit-identical, and the
+sensing/position staging caches invalidate when the world moves.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import record_charges
@@ -25,10 +25,11 @@ from conftest import record_charges
 from repro.core import hotpath
 from repro.core.agent import EmbodiedAgent, PerceptionBundle
 from repro.core.beliefs import Beliefs
-from repro.core.bus import DeliveryBus
+from repro.core.bus import DeliveryBus, _kept_facts
 from repro.core.clock import SimClock
 from repro.core.metrics import MetricsCollector
 from repro.core.modules.base import ModuleContext
+from repro.core.modules.communication import CommunicationModule
 from repro.core.modules.memory import MemoryModule
 from repro.core.types import Fact, Message, Subgoal, TaskSpec
 from repro.envs.tasks import make_task
@@ -80,6 +81,36 @@ def _memory(capacity: int = 20) -> MemoryModule:
     return MemoryModule(context, capacity_steps=capacity, static_facts=[], dual=False)
 
 
+class _UsefulnessLog:
+    """Metrics stand-in that keeps the bus's per-message usefulness flags."""
+
+    def __init__(self) -> None:
+        self.flags: list[bool] = []
+
+    def record_message(self, useful: bool) -> None:
+        self.flags.append(useful)
+
+
+def _bundle() -> PerceptionBundle:
+    return PerceptionBundle(
+        observation=None,
+        current_facts=(),
+        beliefs=Beliefs(),
+        memory_facts=[],
+        action_records=[],
+        dialogue=[],
+    )
+
+
+def _single_receiver_bus(memory: MemoryModule):
+    """A bus delivering to one agent stand-in that owns ``memory``."""
+    agent = SimpleNamespace(
+        name="agent_0", memory=memory, state=SimpleNamespace(step_dialogue=[])
+    )
+    bundles = {"agent_0": _bundle()}
+    return DeliveryBus([agent], _UsefulnessLog(), memory.context.clock), bundles
+
+
 class TestStagedMemoryWrites:
     def test_stage_commit_equals_inline_stores(self):
         messages = [
@@ -93,9 +124,11 @@ class TestStagedMemoryWrites:
                 inline.store_message(message)
             staged = _memory()
             staged_charges = record_charges(staged.context.clock)
+            bus, bundles = _single_receiver_bus(staged)
             for message in messages:
-                staged.stage_message(message)
-            staged.commit_staged_messages()
+                bus.stage(message, bundles)
+            assert staged_charges == inline_charges  # charged at stage time
+            bus.flush(bundles)
             assert staged_charges == inline_charges
             inline.context.set_step(3)
             staged.context.set_step(3)
@@ -105,14 +138,16 @@ class TestStagedMemoryWrites:
     def test_reads_refuse_uncommitted_staging(self):
         with hotpath.override(True):
             memory = _memory()
-            memory.stage_message(
-                Message(sender="a1", recipients=("agent_0",), step=1, facts=_facts(1, 1))
+            bus, bundles = _single_receiver_bus(memory)
+            bus.stage(
+                Message(sender="a1", recipients=("agent_0",), step=1, facts=_facts(1, 1)),
+                bundles,
             )
             with pytest.raises(RuntimeError, match="staged"):
                 memory.retrieve(1)
             with pytest.raises(RuntimeError, match="staged"):
                 memory.dialogue_window(1)
-            memory.commit_staged_messages()
+            bus.flush(bundles)
             assert memory.retrieve(1).dialogue  # served again after commit
 
 
@@ -129,19 +164,10 @@ class _NoveltyLog(MemoryModule):
         return novel
 
 
-class _UsefulnessLog:
-    """Metrics stand-in that keeps the bus's per-message usefulness flags."""
-
-    def __init__(self) -> None:
-        self.flags: list[bool] = []
-
-    def record_message(self, useful: bool) -> None:
-        self.flags.append(useful)
-
-
 #: agent_2 has no memory module, covering the bus's memoryless branch.
 _RECEIVERS = ("agent_0", "agent_1", "agent_2")
 _MEMORYLESS = "agent_2"
+_SENDERS = ("peer_a", "peer_b", "peer_c")
 _SUBJECTS = ("mug", "box_1", "box_2")
 _RELATIONS = ("located_in", "at_cell")
 _VALUES = ("kitchen", "hall", "room_0")
@@ -152,26 +178,46 @@ _FACT = st.tuples(
     st.sampled_from(_VALUES),
     st.integers(0, 6),
 )
-_MESSAGE = st.tuples(
-    st.lists(_FACT, max_size=4),  # payload, with out-of-order provenance
+#: A fresh message.  Payload ages stay small, so different senders often
+#: carry different values for one slot at one step (a conflict).
+_NEW_MESSAGE = st.tuples(
+    st.sampled_from(_SENDERS),
+    st.lists(
+        st.tuples(
+            st.sampled_from(_SUBJECTS),
+            st.sampled_from(_RELATIONS),
+            st.sampled_from(_VALUES),
+            st.integers(0, 2),
+        ),
+        max_size=4,
+    ),
     st.lists(st.sampled_from(_RECEIVERS), min_size=1, max_size=3, unique=True),
     st.sampled_from((None, "mug", "box_1")),  # intent target
     st.integers(0, 2),  # message step lag: > 0 can unsort the dialogue store
 )
+#: A verbatim re-send of the step's n-th earlier message (mod the count),
+#: as a later dialogue round sends it: a new Message around the same
+#: payload tuple object.
+_RESEND = st.integers(0, 7)
 _STEP = st.tuples(
     st.lists(_FACT, max_size=4),  # the step's first-hand frame
-    st.lists(_MESSAGE, max_size=5),
+    st.lists(_NEW_MESSAGE | _RESEND, max_size=8),
     st.none() | st.tuples(st.sampled_from(_SUBJECTS), st.sampled_from(_RELATIONS)),
 )
 
 
 def _stack(fast: bool, capacity: int):
-    """Receivers (agent stand-ins), their bundles, under one hot-path mode."""
+    """Receivers (agent stand-ins) and their bundles on one shared clock.
+
+    Returns the agents, bundles, the clock every memory charges (as in
+    a paradigm loop) and its charge log.
+    """
     agents, bundles = {}, {}
+    clock = SimClock()
+    charges = record_charges(clock)
     with hotpath.override(fast):
         for name in _RECEIVERS:
             memory = None
-            clock = SimClock()
             if name != _MEMORYLESS:
                 context = ModuleContext(
                     agent=name,
@@ -183,20 +229,10 @@ def _stack(fast: bool, capacity: int):
                     context, capacity_steps=capacity, static_facts=[], dual=False
                 )
             agents[name] = SimpleNamespace(
-                name=name,
-                memory=memory,
-                state=SimpleNamespace(step_dialogue=[]),
-                charges=record_charges(clock),
+                name=name, memory=memory, state=SimpleNamespace(step_dialogue=[])
             )
-            bundles[name] = PerceptionBundle(
-                observation=None,
-                current_facts=(),
-                beliefs=Beliefs(),
-                memory_facts=[],
-                action_records=[],
-                dialogue=[],
-            )
-    return agents, bundles
+            bundles[name] = _bundle()
+    return agents, bundles, clock, charges
 
 
 def _deliver_inline(agents, bundles, message: Message, flags: list[bool]) -> None:
@@ -209,17 +245,59 @@ def _deliver_inline(agents, bundles, message: Message, flags: list[bool]) -> Non
     flags.append(novel_total > 0)
 
 
+def _message(spec, step: int, sent: list[Message]) -> Message | None:
+    """Build a fresh message or a re-send of one already sent this step."""
+    if isinstance(spec, int):
+        if not sent:
+            return None
+        original = sent[spec % len(sent)]
+        return Message(
+            sender=original.sender,
+            recipients=original.recipients,
+            step=original.step,
+            facts=original.facts,
+            intent=original.intent,
+        )
+    sender, payload, recipients, target, lag = spec
+    return Message(
+        sender=sender,
+        recipients=tuple(sorted(recipients)),
+        step=step - lag,
+        facts=tuple(
+            Fact(subject, relation, value, step=max(0, step - age))
+            for subject, relation, value, age in payload
+        ),
+        intent=Subgoal("fetch", target=target) if target else None,
+    )
+
+
 class TestDeliveryPathsAgree:
     """Bus staging, per-message stores and the reference path agree."""
 
     @settings(max_examples=150, deadline=None)
     @given(capacity=st.integers(1, 4), steps=st.lists(_STEP, min_size=1, max_size=10))
+    @example(
+        # peer_b overwrites peer_a's value for the mug at the same step;
+        # peer_a's re-send must win the slot back (and count as useful).
+        capacity=1,
+        steps=[
+            (
+                [],
+                [
+                    ("peer_a", [("mug", "located_in", "kitchen", 0)], ["agent_0"], None, 0),
+                    ("peer_b", [("mug", "located_in", "hall", 0)], ["agent_0"], None, 0),
+                    0,
+                ],
+                None,
+            )
+        ],
+    )
     def test_staged_inline_and_reference_paths_agree(self, capacity, steps):
-        bus_agents, bus_bundles = _stack(True, capacity)
-        inline_agents, inline_bundles = _stack(True, capacity)
-        ref_agents, ref_bundles = _stack(False, capacity)
+        bus_agents, bus_bundles, bus_clock, bus_charges = _stack(True, capacity)
+        inline_agents, inline_bundles, _, inline_charges = _stack(True, capacity)
+        ref_agents, ref_bundles, _, ref_charges = _stack(False, capacity)
         bus_metrics = _UsefulnessLog()
-        bus = DeliveryBus(list(bus_agents.values()), bus_metrics)
+        bus = DeliveryBus(list(bus_agents.values()), bus_metrics, bus_clock)
         inline_flags: list[bool] = []
         ref_flags: list[bool] = []
         paths = (
@@ -227,7 +305,7 @@ class TestDeliveryPathsAgree:
             (inline_agents, inline_bundles),
             (ref_agents, ref_bundles),
         )
-        for step, (frame, messages, forget) in enumerate(steps, start=1):
+        for step, (frame, specs, forget) in enumerate(steps, start=1):
             observed = tuple(
                 Fact(subject, relation, value, step=step)
                 for subject, relation, value, _age in frame
@@ -237,20 +315,16 @@ class TestDeliveryPathsAgree:
                     if agent.memory is not None:
                         agent.memory.context.set_step(step)
                         agent.memory.store_observation(observed)
-            for payload, recipients, target, lag in messages:
-                message = Message(
-                    sender="peer",
-                    recipients=tuple(sorted(recipients)),
-                    step=step - lag,
-                    facts=tuple(
-                        Fact(subject, relation, value, step=max(0, step - age))
-                        for subject, relation, value, age in payload
-                    ),
-                    intent=Subgoal("fetch", target=target) if target else None,
-                )
+            sent: list[Message] = []
+            for spec in specs:
+                message = _message(spec, step, sent)
+                if message is None:
+                    continue
+                sent.append(message)
                 bus.stage(message, bus_bundles)
                 _deliver_inline(inline_agents, inline_bundles, message, inline_flags)
                 _deliver_inline(ref_agents, ref_bundles, message, ref_flags)
+            assert bus_charges == inline_charges == ref_charges
             bus.flush(bus_bundles)
             if forget is not None:
                 for agents, _ in paths:
@@ -284,6 +358,15 @@ class TestDeliveryPathsAgree:
                     == inline.memory._slot_index
                     == ref.memory._slot_index
                 )
+                assert (
+                    staged.memory._observations
+                    == inline.memory._observations
+                    == ref.memory._observations
+                )
+                for table in ("_sorted_slot_keys", "_obs_step_counts"):
+                    assert getattr(staged.memory, table) == getattr(
+                        inline.memory, table
+                    ), table
                 got = [agent.memory.retrieve(step) for agent in (staged, inline, ref)]
                 for field in ("facts", "scanned_entries", "dialogue", "action_records"):
                     assert (
@@ -296,7 +379,51 @@ class TestDeliveryPathsAgree:
                     == inline.memory.dialogue_window(step)
                     == ref.memory.dialogue_window(step)
                 )
-                assert staged.charges == inline.charges == ref.charges
+            assert bus_charges == inline_charges == ref_charges
+
+
+class TestResendFiltering:
+    """What a re-send keeps to merge: only facts on conflicting keys."""
+
+    def _resend(self, message: Message) -> Message:
+        return Message(
+            sender=message.sender,
+            recipients=message.recipients,
+            step=message.step,
+            facts=message.facts,
+            intent=message.intent,
+        )
+
+    def test_resend_without_conflict_keeps_nothing(self):
+        first = Message(
+            sender="a1",
+            recipients=("a2", "a3"),
+            step=4,
+            facts=_facts(4, 3),
+            intent=Subgoal("fetch", target="mug"),
+        )
+        kept = _kept_facts([first, self._resend(first), self._resend(first)])
+        assert kept[0] == (first.facts, CommunicationModule.intent_facts(first))
+        assert kept[1:] == [None, None]
+
+    def test_resend_keeps_only_conflicting_facts(self):
+        first = Message(sender="a1", recipients=("a2",), step=4, facts=_facts(4, 3))
+        clash = Fact("obj_1", "located_in", "elsewhere", step=4)
+        other = Message(sender="a3", recipients=("a2",), step=4, facts=(clash,))
+        kept = _kept_facts([first, other, self._resend(first)])
+        assert kept[2] == ((first.facts[1],), [])
+
+    def test_equal_payload_in_a_new_tuple_is_not_a_resend(self):
+        first = Message(sender="a1", recipients=("a2",), step=4, facts=_facts(4, 2))
+        copy = Message(sender="a1", recipients=("a2",), step=4, facts=_facts(4, 2))
+        assert _kept_facts([first, copy])[1] == (copy.facts, [])
+
+    def test_different_recipients_is_not_a_resend(self):
+        first = Message(sender="a1", recipients=("a2",), step=4, facts=_facts(4, 2))
+        wider = Message(
+            sender="a1", recipients=("a2", "a3"), step=4, facts=first.facts
+        )
+        assert _kept_facts([first, wider])[1] == (first.facts, [])
 
 
 class TestDetectorStreamIdentity:
@@ -377,7 +504,6 @@ class TestPositionStaging:
 class TestComposePayloadStaging:
     def test_payload_staged_once_per_step(self):
         """Multi-round composes of one step reuse one sorted payload."""
-        from repro.core.modules.communication import CommunicationModule
         from repro.core.seeding import rng_for
         from repro.llm.simulated import SimulatedLLM
 

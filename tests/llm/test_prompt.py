@@ -178,6 +178,35 @@ class TestJoinedSections:
         for section in for_render.sections:
             assert section.tokens == count_tokens(section.text)
 
+    @staticmethod
+    def _observed():
+        """A prompt holding only a fresh observation section."""
+        observation = Observation(
+            agent="a0",
+            step=3,
+            position="kitchen",
+            facts=(
+                Fact("mug", "located_in", "kitchen", step=3),
+                Fact("stove_1", "state", "on", step=3),
+            ),
+        )
+        return observation, PromptBuilder().observation(observation).build()
+
+    def test_observation_rendered_only_when_read(self):
+        with hotpath.override(False):
+            _, reference = self._observed()
+        with hotpath.override(True):
+            observation, prompt = self._observed()
+            _, for_render = self._observed()
+        section = prompt.sections[0]
+        assert "text" not in section.__dict__
+        assert "_described" not in observation.__dict__  # never rendered
+        assert section.tokens == reference.sections[0].tokens
+        assert section == reference.sections[0]
+        assert section.text == observation.describe()
+        assert for_render.render() == reference.render()
+        assert section.tokens == count_tokens(section.text)
+
     def test_copy_and_pickle_round_trip(self):
         with hotpath.override(True):
             eager = self._build().sections[2]
