@@ -34,7 +34,6 @@ import json
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 
@@ -42,21 +41,21 @@ REPO = Path(__file__).resolve().parent.parent
 
 
 def export_tree(rev: str, dest: Path) -> None:
-    """Write the committed files of ``rev`` into ``dest``.
+    """Write the committed files of ``rev`` into ``dest / "tree"``.
 
     An archive, not a worktree: nothing is registered in the repository,
-    so an interrupted run leaves nothing behind to prune.
+    so an interrupted run leaves nothing behind to prune.  ``tar``
+    unpacks it, since ``tarfile``'s safe ``filter`` argument is missing
+    from early Python 3.11 releases.
     """
-    archive = dest / "base.tar"
-    with archive.open("wb") as out:
-        subprocess.run(
-            ["git", "-C", str(REPO), "archive", "--format=tar", rev],
-            stdout=out,
-            check=True,
-        )
-    with tarfile.open(archive) as tar:
-        tar.extractall(dest / "tree", filter="data")
-    archive.unlink()
+    tree = dest / "tree"
+    tree.mkdir()
+    archive = subprocess.run(
+        ["git", "-C", str(REPO), "archive", "--format=tar", rev],
+        stdout=subprocess.PIPE,
+        check=True,
+    )
+    subprocess.run(["tar", "-x", "-C", str(tree)], input=archive.stdout, check=True)
 
 
 def run_once(root: Path, args: argparse.Namespace) -> dict:

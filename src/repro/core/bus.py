@@ -27,8 +27,7 @@ restructures that fan-out without changing a byte of what is observed:
   fact of the flush carries a different value for that key at the same
   step.  The bus collects those conflicting keys, and a re-send keeps
   only its facts on them — usually none.  The flush then builds every
-  receiver's inbox in delivery order and per-step counts of the payload
-  facts per recipient group, and gives each receiver *one* fused pass
+  receiver's inbox in delivery order and gives each receiver *one* fused pass
   (:meth:`repro.core.modules.memory.MemoryModule.commit_staged_messages`)
   that merges each kept fact into the receiver's step beliefs (counting
   novelty — the paper's usefulness metric — exactly as the per-delivery
@@ -53,9 +52,7 @@ per-delivery fan-out remains the reference implementation in
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import chain
-from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from repro.core.clock import ModuleName, SimClock
@@ -67,8 +64,6 @@ from repro.llm.prompt import piece_tokens
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.agent import EmbodiedAgent, PerceptionBundle
     from repro.core.metrics import MetricsCollector
-
-_STEP = attrgetter("step")
 
 #: One message's facts still to merge: (payload facts, intent facts).
 Delivery = tuple[tuple[Fact, ...], list[Fact]]
@@ -143,39 +138,25 @@ class DeliveryBus:
             return
         self._staged = []
         deliveries = _kept_facts(staged)
-        # Per-step counts of every delivered payload fact, re-sends
-        # included, built once per recipient group; each receiver is
-        # handed the counters of its groups.
-        groups: dict[tuple[str, ...], Counter] = {}
-        step_counts: dict[str, list[Counter]] = {}
-        for message in staged:
-            steps = groups.get(message.recipients)
-            if steps is None:
-                steps = groups[message.recipients] = Counter()
-                for name in message.recipients:
-                    step_counts.setdefault(name, []).append(steps)
-            steps.update(map(_STEP, message.facts))
         # receiver -> (staged indices, deliveries) of the messages that
         # still have facts to merge, in delivery order
-        inboxes: dict[str, tuple[list[int], list[Delivery]]] = {
-            name: ([], []) for name in step_counts
-        }
-        for index, delivery in enumerate(deliveries):
-            if delivery is None:
-                continue
-            for name in staged[index].recipients:
-                inbox = inboxes[name]
-                inbox[0].append(index)
-                inbox[1].append(delivery)
+        inboxes: dict[str, tuple[list[int], list[Delivery]]] = {}
+        for index, message in enumerate(staged):
+            delivery = deliveries[index]
+            for name in message.recipients:
+                inbox = inboxes.get(name)
+                if inbox is None:
+                    inbox = inboxes[name] = ([], [])
+                if delivery is not None:
+                    inbox[0].append(index)
+                    inbox[1].append(delivery)
         novel_totals = [0] * len(staged)
         agents = self._agents
         for name, (indices, inbox) in inboxes.items():
             beliefs = bundles[name].beliefs
             memory = agents[name].memory
             if memory is not None:
-                counts = memory.commit_staged_messages(
-                    beliefs, inbox, step_counts[name]
-                )
+                counts = memory.commit_staged_messages(beliefs, inbox)
             else:
                 # Even positions are payload chunks; intent merges (odd
                 # positions) never count toward novelty, as in the seed.

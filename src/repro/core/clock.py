@@ -118,38 +118,19 @@ class SimClock:
         """``times`` successive ``advance(duration, module, phase)`` calls.
 
         The delivery bus charges one message's per-receiver store
-        latencies with this in one call.  The sums and ``now`` take the
-        same float additions, in the same order, as the separate calls
-        would, so every total is bit-identical; ``times=0`` changes
-        nothing.
+        latencies with one call; every charge is still made, so the sums
+        and ``now`` are bit-identical.  ``times=0`` changes nothing.
         """
         if duration < 0:
             raise ValueError(f"duration must be non-negative, got {duration}")
         if times < 0:
             raise ValueError(f"times must be non-negative, got {times}")
-        if times == 0:
-            return
-        for totals, key in (
-            (self._module_seconds, module),
-            (self._phase_seconds, (module, phase)),
-        ):
-            # A key seen for the first time starts at ``duration`` itself,
-            # exactly as advance's KeyError fallback does.
-            total = totals.get(key)
-            repeats = times
-            if total is None:
-                total = duration
-                repeats -= 1
-            for _ in range(repeats):
-                total += duration
-            totals[key] = total
-        if self._parallel_depth > 0:
-            self._parallel_front = max(self._parallel_front, self.now + duration)
-        else:
-            now = self.now
-            for _ in range(times):
-                now += duration
-            self.now = now
+        for _ in range(times):
+            self._attribute(duration, module, phase)
+            if self._parallel_depth > 0:
+                self._parallel_front = max(self._parallel_front, self.now + duration)
+            else:
+                self.now += duration
 
     def settle(
         self,

@@ -37,8 +37,8 @@ message's modeled store latency is charged by the bus when it stages the
 message (the seed's clock position) while its dialogue/observation
 writes wait for one :meth:`commit_staged_messages` per step — entry for
 entry the state :meth:`store_message` would have produced.  The commit
-is one fused pass that merges each delivered fact into the receiver's
-step beliefs and the slot table together.  Read paths refuse to serve
+is one fused pass that merges each fact the bus kept into the
+receiver's step beliefs and the slot table together.  Read paths refuse to serve
 while deliveries are staged.
 """
 
@@ -202,7 +202,6 @@ class MemoryModule:
         self,
         beliefs: Beliefs,
         deliveries: list[tuple[Sequence[Fact], Sequence[Fact]]],
-        step_counts: list[Counter[int]],
     ) -> list[int]:
         """Apply all staged deliveries in one pass; per-message novelty.
 
@@ -212,12 +211,11 @@ class MemoryModule:
         cannot change a slot.  Each payload fact is merged into
         ``beliefs`` (the receiver's step beliefs, counting novelty as
         :meth:`Beliefs.update` does) and into the slot table, with its
-        key built once; intent facts go into ``beliefs`` only.
-        ``step_counts`` are per-step counts of *every* delivered payload
-        fact, re-sends included, so the observation store's window
-        accounting is what per-message :meth:`store_message` calls would
-        have left.  The dialogue log and the observation store get every
-        staged message entry for entry.  The bus runs only on the hot
+        key built once; intent facts go into ``beliefs`` only.  The
+        dialogue log, the observation store and its per-step window
+        counts get every staged message, re-sends included, entry for
+        entry as per-message :meth:`store_message` calls would have
+        left them.  The bus runs only on the hot
         path, so the fast-path indices are kept unconditionally.
         Returns each delivery's novel payload facts, as
         ``receive_message`` would have counted them.
@@ -227,7 +225,8 @@ class MemoryModule:
             return []
         self._staged_messages = []
         self._dialogue.extend(staged)
-        self._observations.extend(chain.from_iterable(map(_FACTS, staged)))
+        facts = list(chain.from_iterable(map(_FACTS, staged)))
+        self._observations.extend(facts)
         dialogue_steps = self._dialogue_steps
         steps = list(map(_STEP, staged))
         # A step descent anywhere (at the commit boundary or inside it)
@@ -237,15 +236,13 @@ class MemoryModule:
         ):
             self._steps_sorted = False
         dialogue_steps.extend(steps)
+        # Window accounting counts every delivered fact, re-sends included.
         totals = self._obs_step_counts
         evict_start = self._evict_start
-        evicted = 0
-        for counts in step_counts:
-            for step, count in counts.items():
-                totals[step] += count
-                if step < evict_start:
-                    evicted += count
-        self._evicted_obs += evicted
+        for step, count in Counter(map(_STEP, facts)).items():
+            totals[step] += count
+            if step < evict_start:
+                self._evicted_obs += count
 
         held = beliefs._slots
         held_get = held.get

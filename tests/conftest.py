@@ -41,9 +41,8 @@ def record_charges(clock: SimClock) -> list[tuple[ModuleName, str, float, float]
     ``advance_repeated`` and ``settle`` and compare the logs.  ``start``
     is ``now`` before an advance and ``completion - duration`` for a
     settle.  A batched ``advance_repeated(duration, times, ...)`` is
-    logged as ``times`` entries, with the starts ``times`` successive
-    advances would have logged, so a batched charge and the separate
-    charges it replaces leave the same log.
+    replayed and logged as ``times`` single charges, so a batched charge
+    and the separate charges it replaces leave the same log.
     """
     log: list[tuple[ModuleName, str, float, float]] = []
     advance, repeated, settle = clock.advance, clock.advance_repeated, clock.settle
@@ -56,12 +55,10 @@ def record_charges(clock: SimClock) -> list[tuple[ModuleName, str, float, float]
     def logged_repeated(
         duration: float, times: int, module: ModuleName, phase: str = ""
     ) -> None:
-        start, moves = clock.now, clock._parallel_depth == 0
-        repeated(duration, times, module, phase)
         for _ in range(times):
+            start = clock.now
+            repeated(duration, 1, module, phase)
             log.append((module, phase, start, duration))
-            if moves:
-                start += duration
 
     def logged_settle(
         completion: float, duration: float, module: ModuleName, phase: str = ""

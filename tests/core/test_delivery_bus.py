@@ -178,8 +178,10 @@ _FACT = st.tuples(
     st.sampled_from(_VALUES),
     st.integers(0, 6),
 )
-#: A fresh message.  Payload ages stay small, so different senders often
-#: carry different values for one slot at one step (a conflict).
+#: A fresh message.  Half its payload ages are small, so different
+#: senders often carry different values for one slot at one step (a
+#: conflict); the rest lag far enough to fall below a small retention
+#: window, so staged commits must count evicted observations too.
 _NEW_MESSAGE = st.tuples(
     st.sampled_from(_SENDERS),
     st.lists(
@@ -187,7 +189,7 @@ _NEW_MESSAGE = st.tuples(
             st.sampled_from(_SUBJECTS),
             st.sampled_from(_RELATIONS),
             st.sampled_from(_VALUES),
-            st.integers(0, 2),
+            st.integers(0, 2) | st.integers(3, 6),
         ),
         max_size=4,
     ),
@@ -363,7 +365,7 @@ class TestDeliveryPathsAgree:
                     == inline.memory._observations
                     == ref.memory._observations
                 )
-                for table in ("_sorted_slot_keys", "_obs_step_counts"):
+                for table in ("_sorted_slot_keys", "_obs_step_counts", "_evicted_obs"):
                     assert getattr(staged.memory, table) == getattr(
                         inline.memory, table
                     ), table
